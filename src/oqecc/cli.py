@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from .additive_code import HERMITIAN
 from .code_params import (
     EXHAUSTIVE,
     METHODS,
-    UNBOUNDED,
+    _distance_json,
     min_distance_with_witness,
     subsystem_params,
 )
@@ -47,29 +48,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt_d(d) -> str:
-    return "unbounded" if d == UNBOUNDED else str(d)
-
-
-def _json_d(d):
-    return "unbounded" if d == UNBOUNDED else d
-
-
 def cmd_params(args) -> int:
     code = parse_code_file(args.input)
     params = subsystem_params(code, distance_method=args.method)
     if args.json:
         record = {
-            "n": params.n,
-            "q": params.q,
-            "x": params.x,
-            "y": params.y,
-            "dim_a": params.dim_a,
-            "dim_b": params.dim_b,
+            **params.to_json(),
             "dim_c": params.dim_c,
-            "k": str(params.k),
-            "r": str(params.r),
-            "d": _json_d(params.d),
             "distance_method": params.distance_method,
             "quartet": params.quartet(),
         }
@@ -78,7 +63,7 @@ def cmd_params(args) -> int:
         print(f"code: {params.quartet()}   {params.dimension_form()}")
         print(f"  n={params.n} q={params.q} |X|={params.x} |Y|={params.y}")
         print(f"  dim A={params.dim_a} dim B={params.dim_b} dim C={params.dim_c}")
-        print(f"  k={params.k} r={params.r} d={_fmt_d(params.d)} ({params.distance_method})")
+        print(f"  k={params.k} r={params.r} d={_distance_json(params.d)} ({params.distance_method})")
     return EXIT_OK
 
 
@@ -87,13 +72,13 @@ def cmd_mindist(args) -> int:
     d, witness = min_distance_with_witness(code, method=args.method)
     if args.json:
         record = {
-            "d": _json_d(d),
+            "d": _distance_json(d),
             "method": args.method,
             "witness": list(witness.coords) if witness is not None else None,
         }
         print(json.dumps(record, sort_keys=True))
     else:
-        print(f"d = {_fmt_d(d)} (method {args.method})")
+        print(f"d = {_distance_json(d)} (method {args.method})")
         if witness is not None:
             print(f"  witness {witness!r}")
     return EXIT_OK
@@ -149,7 +134,8 @@ def cmd_search(args) -> int:
     print(f"{'k':>6} {'r':>6} {'best d':>10}  stabilizer needs")
     for (k, r), d in sorted(pareto.items()):
         footprint = Fraction(args.n) - r
-        print(f"{str(k):>6} {str(r):>6} {_fmt_d(d):>10}  [[{footprint},{k},{_fmt_d(d)}]]")
+        best = _distance_json(d)
+        print(f"{str(k):>6} {str(r):>6} {best:>10}  [[{footprint},{k},{best}]]")
     return EXIT_OK
 
 
@@ -193,31 +179,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Checked in order, so a subclass must come before its base.
+_EXIT_CODES = {
+    BrokenPipeError: EXIT_ERROR,
+    ValueError: EXIT_USAGE,
+    ZeroCodeError: EXIT_ZERO_CODE,
+    CapExceededError: EXIT_CAP,
+    ParseError: EXIT_PARSE,
+    TheoryViolationError: EXIT_THEORY,
+    OqeccError: EXIT_ERROR,
+    OSError: EXIT_ERROR,
+}
+
+
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so the interpreter's final flush of a closed
+    pipe raises nothing at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no file descriptor, or already closed
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ZeroCodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ZERO_CODE
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except TheoryViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_THEORY
-    except OqeccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
+    except tuple(_EXIT_CODES) as exc:
+        kind = next(k for k in _EXIT_CODES if isinstance(exc, k))
+        if kind is BrokenPipeError:
+            _drop_stdout()  # the reader is gone: exit quietly
+        else:
+            print(f"{'io error' if kind is OSError else 'error'}: {exc}", file=sys.stderr)
+        return _EXIT_CODES[kind]
 
 
 if __name__ == "__main__":

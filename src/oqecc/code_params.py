@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -32,6 +33,11 @@ METHODS = (EXHAUSTIVE, BASIS)
 UNBOUNDED = math.inf
 ENUMERATION_CAP = 1 << 24
 _CHUNK = 1 << 15
+
+
+def _distance_json(d: int | float) -> int | str:
+    """A distance as stored and printed: the integer, or "unbounded"."""
+    return "unbounded" if d == UNBOUNDED else d
 
 
 def swt(c: CodeVector) -> int:
@@ -79,6 +85,14 @@ def _index_digits(indices: np.ndarray, p: int, width: int) -> np.ndarray:
     return out
 
 
+def _digit_chunks(p: int, width: int) -> Iterator[np.ndarray]:
+    """Digit rows of all p^width vectors in encoding order, _CHUNK rows at a time."""
+    total = p**width
+    for start in range(0, total, _CHUNK):
+        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        yield _index_digits(indices, p, width)
+
+
 def _encoding_key(row, p: int) -> int:
     value = 0
     for d in reversed(list(row)):
@@ -112,9 +126,7 @@ def _distance_scan(code: AdditiveCode, method: str) -> tuple[int | float, CodeVe
             raise CapExceededError(
                 f"exhaustive enumeration of p^{cols} = {total} vectors exceeds {ENUMERATION_CAP}"
             )
-        for start in range(0, total, _CHUNK):
-            indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            digits = _index_digits(indices, p, cols)
+        for digits in _digit_chunks(p, cols):
             in_diff = _bulk_membership(digits, hull_dual) & ~_bulk_membership(digits, code)
             if not in_diff.any():
                 continue
@@ -135,9 +147,7 @@ def _distance_scan(code: AdditiveCode, method: str) -> tuple[int | float, CodeVe
             raise CapExceededError(
                 f"basis enumeration of p^{rank} = {total} vectors exceeds {ENUMERATION_CAP}"
             )
-        for start in range(0, total, _CHUNK):
-            indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            coeffs = _index_digits(indices, p, rank)
+        for coeffs in _digit_chunks(p, rank):
             digits = (coeffs @ basis) % p
             outside = ~_bulk_membership(digits, code)
             if not outside.any():
@@ -192,13 +202,17 @@ class SubsystemParams:
 
     def quartet(self) -> str:
         """Bracket form [[n,k,r,d]]_q."""
-        d = "unbounded" if self.d == UNBOUNDED else str(self.d)
-        return f"[[{self.n},{self.k},{self.r},{d}]]_{self.q}"
+        return f"[[{self.n},{self.k},{self.r},{_distance_json(self.d)}]]_{self.q}"
 
     def dimension_form(self) -> str:
         """Dimension form ((n,dimA,dimB,d))_q."""
-        d = "unbounded" if self.d == UNBOUNDED else str(self.d)
-        return f"(({self.n},{self.dim_a},{self.dim_b},{d}))_{self.q}"
+        return f"(({self.n},{self.dim_a},{self.dim_b},{_distance_json(self.d)}))_{self.q}"
+
+    def to_json(self) -> dict:
+        """The nine fields a search record stores, as JSON values."""
+        return {"n": self.n, "q": self.q, "x": self.x, "y": self.y,
+                "dim_a": self.dim_a, "dim_b": self.dim_b,
+                "k": str(self.k), "r": str(self.r), "d": _distance_json(self.d)}
 
     def stabilizer_comparison_key(self) -> tuple[Fraction, Fraction, int | float]:
         """(n - r, k, d): the footprint a plain stabilizer code would need."""

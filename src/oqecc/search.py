@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .additive_code import AdditiveCode, SYMPLECTIC, digit_columns
-from .code_params import BASIS, UNBOUNDED, subsystem_params
+from .code_params import BASIS, UNBOUNDED, _distance_json, subsystem_params
 from .galois import gf_make
 
 
@@ -37,7 +37,6 @@ def _evaluate_candidate(payload: tuple) -> dict | None:
     if code.is_zero():
         return None
     params = subsystem_params(code, distance_method=BASIS)
-    d_json = "unbounded" if params.d == UNBOUNDED else params.d
     n_minus_r, k, _ = params.stabilizer_comparison_key()
     return {
         "index": index,
@@ -47,19 +46,9 @@ def _evaluate_candidate(payload: tuple) -> dict | None:
         "n": n,
         "layout": SYMPLECTIC,
         "generators": [list(row) for row in code.generator_rows()],
-        "params": {
-            "n": params.n,
-            "q": params.q,
-            "x": params.x,
-            "y": params.y,
-            "dim_a": params.dim_a,
-            "dim_b": params.dim_b,
-            "k": str(params.k),
-            "r": str(params.r),
-            "d": d_json,
-        },
+        "params": params.to_json(),
         "distance_method": params.distance_method,
-        "stabilizer_key": [str(n_minus_r), str(k), d_json],
+        "stabilizer_key": [str(n_minus_r), str(k), _distance_json(params.d)],
     }
 
 

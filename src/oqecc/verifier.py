@@ -1,11 +1,16 @@
 """Desk-scale numeric certification on explicit q^n-dimensional matrices.
 
 The error operators are X(a)|x> = |x+a> and Z(b)|x> = omega^tr(bx)|x> with
-omega = exp(2*pi*i/p), tensored coordinate-wise; a vector (a|b) lifts to the
-unitary X(a)Z(b) in that fixed order.  The code projector attached to a
-nonzero symplectic-layout code X is the product of commuting eigenspace
-projectors of the lifted hull generators, one chosen eigenvalue each.  The
-checks certify, entirely numerically:
+omega = exp(2*pi*i/p), tensored coordinate-wise with the first coordinate
+most significant.  A vector (a|b) lifts to the monomial unitary
+X(a)Z(b)|x> = omega^tr(b.x)|x+a>: a target index and a phase exponent per
+basis state, read from the field's add, mul and trace tables.  The code
+projector of a nonzero symplectic-layout code X is the product of commuting
+eigenspace projectors of the lifted hull generators, one chosen eigenvalue
+each.  run_checks builds one context per code (projector, hull, dual(hull),
+dual(X), minimum distance) that every check reads; the error sweeps take set
+membership in bulk by encoding index.  The checks certify, entirely
+numerically:
 
   * rank(P) = q^n / |hull(X)|,
   * an error is subsystem-detectable exactly when its vector is outside
@@ -15,30 +20,25 @@ checks certify, entirely numerically:
   * Tr(e P) is nonzero exactly for vectors in the hull.
 
 Dense matrices are capped at q^n <= 4096 by default; the OQECC_MAX_DIM
-environment variable raises the cap for the patient.
+environment variable, a positive integer, raises the cap for the patient.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .additive_code import AdditiveCode, CodeVector, SYMPLECTIC, ambient_vectors
-from .code_params import BASIS, min_distance, subsystem_dimensions, swt
-from .errors import (
-    CapExceededError,
-    DimensionMismatchError,
-    LayoutMismatchError,
-    NonCommutingLiftError,
-    RankMismatchError,
-    TheoryViolationError,
-    ZeroCodeError,
-)
+from .additive_code import AdditiveCode, CodeVector, SYMPLECTIC
+from .code_params import (BASIS, _bulk_membership, _bulk_weights, _digit_chunks, min_distance,
+                          subsystem_dimensions)
+from .errors import (CapExceededError, DimensionMismatchError, LayoutMismatchError,
+                     NonCommutingLiftError, RankMismatchError, TheoryViolationError, ZeroCodeError)
 from .galois import GfContext
 
 DEFAULT_MAX_DIM = 4096
@@ -50,7 +50,15 @@ SPAN_SV_RTOL = 1e-7
 def max_matrix_dim() -> int:
     """Current cap on dense matrix dimension (env OQECC_MAX_DIM overrides)."""
     raw = os.environ.get("OQECC_MAX_DIM")
-    return int(raw) if raw else DEFAULT_MAX_DIM
+    if not raw:
+        return DEFAULT_MAX_DIM
+    try:
+        cap = int(raw)
+    except ValueError:  # reported below, naming the variable
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"OQECC_MAX_DIM must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _check_dim(ctx: GfContext, n: int) -> int:
@@ -61,20 +69,11 @@ def _check_dim(ctx: GfContext, n: int) -> int:
     return dim
 
 
-def _omega(p: int) -> complex:
-    return np.exp(2j * np.pi / p)
-
-
-def _single_x(ctx: GfContext, a: int) -> np.ndarray:
-    mat = np.zeros((ctx.q, ctx.q), dtype=np.complex128)
-    for x in range(ctx.q):
-        mat[ctx.add(x, a), x] = 1.0
-    return mat
-
-
-def _single_z(ctx: GfContext, b: int) -> np.ndarray:
-    omega = _omega(ctx.p)
-    return np.diag([omega ** ctx.trace(ctx.mul(b, x)) for x in range(ctx.q)])
+@lru_cache(maxsize=None)
+def _field_arrays(ctx: GfContext) -> tuple[np.ndarray, np.ndarray]:
+    """The q x q tables x + y, indexed [x, y], and tr(b x), indexed [b, x]."""
+    add = np.array([[ctx.add(x, y) for y in ctx.elements()] for x in ctx.elements()])
+    return add, np.array(ctx._trace)[np.array(ctx._mul)]
 
 
 class ErrorOperator:
@@ -104,13 +103,24 @@ class ErrorOperator:
         return CodeVector(self.ctx, SYMPLECTIC, self.a + self.b)
 
     @cached_property
+    def _monomial(self) -> tuple[np.ndarray, np.ndarray]:
+        """(target, phase): column x holds phase[x] in row target[x], the index
+        of x + a.  Built one coordinate at a time, as a kron chain would be."""
+        add, trace_mul = _field_arrays(self.ctx)
+        target = exponent = np.zeros(1, dtype=np.int64)
+        for ai, bi in zip(self.a, self.b):
+            target = (target[:, None] * self.ctx.q + add[ai]).ravel()
+            exponent = (exponent[:, None] + trace_mul[bi]).ravel()
+        modulus = self.phase_modulus
+        exponent = exponent * (modulus // self.ctx.p) + self.phase_exp
+        return target, np.exp(2j * np.pi * (exponent % modulus) / modulus)
+
+    @cached_property
     def realization(self) -> np.ndarray:
         """Dense unitary, first coordinate as the leftmost tensor factor."""
-        mat = np.eye(1, dtype=np.complex128)
-        for ai, bi in zip(self.a, self.b):
-            mat = np.kron(mat, _single_x(self.ctx, ai) @ _single_z(self.ctx, bi))
-        if self.phase_exp:
-            mat = mat * np.exp(2j * np.pi * self.phase_exp / self.phase_modulus)
+        target, phase = self._monomial
+        mat = np.zeros((target.size, target.size), dtype=np.complex128)
+        mat[target, np.arange(target.size)] = phase
         return mat
 
     def __repr__(self) -> str:
@@ -120,10 +130,6 @@ class ErrorOperator:
 def pauli_matrix(ctx: GfContext, a: Sequence[int], b: Sequence[int], phase_exp: int = 0) -> ErrorOperator:
     """Lift of the vector (a|b): the operator X(a)Z(b) times a phase."""
     return ErrorOperator(ctx, a, b, phase_exp)
-
-
-def _lift(v: CodeVector) -> ErrorOperator:
-    return ErrorOperator(v.ctx, v.a_coords, v.b_coords, 0)
 
 
 def _max_abs(mat: np.ndarray) -> float:
@@ -138,14 +144,11 @@ def _eigenvalue_candidates(ctx: GfContext, v: CodeVector) -> list[complex]:
     """
     p = ctx.p
     if p == 2:
-        n = v.n
-        acc = 0
-        for i in range(n):
-            acc = ctx.add(acc, ctx.mul(v.coords[i], v.coords[n + i]))
-        if ctx.trace(acc):
+        # The trace is additive, so tr(a.b) = sum_i tr(a_i b_i) mod 2.
+        if _field_arrays(ctx)[1][v.a_coords, v.b_coords].sum() % 2:
             return [1j, -1j]
         return [1.0 + 0j, -1.0 + 0j]
-    omega = _omega(p)
+    omega = np.exp(2j * np.pi / p)
     return [omega**j for j in range(p)]
 
 
@@ -175,24 +178,16 @@ class Projector:
         return self.matrix.shape[0]
 
 
-def _numeric_rank_projector(mat: np.ndarray) -> int:
-    """Rank of a (numerically) Hermitian idempotent by eigenvalue counting."""
-    eigenvalues = np.linalg.eigvalsh(mat)
-    return int((eigenvalues > 0.5).sum())
-
-
-def build_projector(
-    code: AdditiveCode, eigenvalue_picks: Sequence[int] | None = None
-) -> Projector:
+def build_projector(code: AdditiveCode, eigenvalue_picks: Sequence[int] | None = None) -> Projector:
     """Projector onto the joint chosen-eigenvalue space of the lifted hull.
 
     Default eigenvalues follow a fixed rule: per generator, the eigenvalue
     of largest multiplicity, ties broken by smallest complex argument (for
     phase-0 lifts all multiplicities tie at q^n/p, so the argument order
-    decides).  Should a partial product ever vanish the choice backtracks
-    to the generator's next eigenvalue.  eigenvalue_picks forces index
-    choices instead, for checking that every realizable tuple gives the
-    same rank.
+    decides).  eigenvalue_picks forces index choices instead, for checking
+    that every tuple gives the same rank: the lifts of independent hull
+    generators commute and no nontrivial product of them is a scalar, so
+    every joint eigenspace has dimension q^n/|hull|.
     """
     if code.layout != SYMPLECTIC:
         raise LayoutMismatchError("the projector needs a symplectic-layout code")
@@ -202,8 +197,7 @@ def build_projector(
     dim = _check_dim(ctx, code.n)
     hull = code.hull()
     generators = hull.basis_vectors()
-    lifts = [_lift(v) for v in generators]
-    mats = [op.realization for op in lifts]
+    mats = [pauli_matrix(v.ctx, v.a_coords, v.b_coords).realization for v in generators]
 
     for i, j in itertools.combinations(range(len(mats)), 2):
         if _max_abs(mats[i] @ mats[j] - mats[j] @ mats[i]) > OPERATOR_TOL:
@@ -211,54 +205,34 @@ def build_projector(
                 f"lifted hull generators {generators[i]!r} and {generators[j]!r} do not commute"
             )
 
-    candidate_lists = [_eigenvalue_candidates(ctx, v) for v in generators]
-    if eigenvalue_picks is not None:
-        if len(eigenvalue_picks) != len(generators):
-            raise DimensionMismatchError("one eigenvalue pick per hull generator required")
-        candidate_lists = [[cands[i]] for cands, i in zip(candidate_lists, eigenvalue_picks)]
-
-    matrix, choices = _projector_search(dim, mats, candidate_lists, ctx.p)
-    if matrix is None:
-        raise RankMismatchError("no realizable eigenvalue tuple was found")
+    picks = [0] * len(generators) if eigenvalue_picks is None else eigenvalue_picks
+    if len(picks) != len(generators):
+        raise DimensionMismatchError("one eigenvalue pick per hull generator required")
+    choices = [_eigenvalue_candidates(ctx, v)[i] for v, i in zip(generators, picks)]
+    matrix = np.eye(dim, dtype=np.complex128)
+    for mat, eigenvalue in zip(mats, choices):
+        matrix = matrix @ _eigenspace_projector(mat, eigenvalue, ctx.p)
 
     if _max_abs(matrix - matrix.conj().T) > OPERATOR_TOL:
         raise TheoryViolationError("projector is not Hermitian within tolerance")
     if _max_abs(matrix @ matrix - matrix) > OPERATOR_TOL:
         raise TheoryViolationError("projector is not idempotent within tolerance")
-    rank = _numeric_rank_projector(matrix)
+    rank = int((np.linalg.eigvalsh(matrix) > 0.5).sum())
     expected = dim // (ctx.p**hull.rank)
     if rank != expected:
         raise RankMismatchError(
             f"projector rank {rank} but q^n/|hull| = {expected}; the theory was violated"
         )
-    return Projector(
-        matrix=matrix,
-        source_code=code,
-        hull_basis=generators,
-        eigenvalue_choices=tuple(choices),
-        rank=rank,
-    )
+    return Projector(matrix=matrix, source_code=code, hull_basis=generators,
+                     eigenvalue_choices=tuple(choices), rank=rank)
 
 
-def _projector_search(dim, mats, candidate_lists, p):
-    """Depth-first search over eigenvalue tuples; prunes vanishing products."""
-
-    def descend(i, current, chosen):
-        if i == len(mats):
-            return current, list(chosen)
-        for eigenvalue in candidate_lists[i]:
-            trial = current @ _eigenspace_projector(mats[i], eigenvalue, p)
-            if _max_abs(trial) <= OPERATOR_TOL:
-                continue
-            found = descend(i + 1, trial, chosen + [eigenvalue])
-            if found is not None:
-                return found
-        return None
-
-    result = descend(0, np.eye(dim, dtype=np.complex128), [])
-    if result is None:
-        return None, None
-    return result
+def _sandwich(projector: Projector, error: ErrorOperator) -> np.ndarray:
+    """P e P, with P e as a column gather: (P e)[:, x] = phase[x] P[:, target[x]]."""
+    target, phase = error._monomial
+    if target.size != projector.dim:
+        raise DimensionMismatchError("projector and error dimensions differ")
+    return (projector.matrix[:, target] * phase) @ projector.matrix
 
 
 def check_detectable(projector: Projector, error: ErrorOperator) -> tuple[bool, complex | None]:
@@ -268,10 +242,7 @@ def check_detectable(projector: Projector, error: ErrorOperator) -> tuple[bool, 
     the co-subsystem fail it without harming the encoded information (see
     verify_detectability).
     """
-    mat = error.realization
-    if mat.shape != projector.matrix.shape:
-        raise DimensionMismatchError("projector and error dimensions differ")
-    sandwiched = projector.matrix @ mat @ projector.matrix
+    sandwiched = _sandwich(projector, error)
     lam = complex(np.trace(sandwiched) / projector.rank)
     if _max_abs(sandwiched - lam * projector.matrix) <= OPERATOR_TOL:
         return True, lam
@@ -293,12 +264,7 @@ class VerifierReport:
 
 
 def _restricted(projector: Projector, vectors: Iterable[CodeVector]) -> list[np.ndarray]:
-    P = projector.matrix
-    return [P @ _lift(v).realization @ P for v in vectors]
-
-
-def _commutes_with_all(mat: np.ndarray, ops: Sequence[np.ndarray]) -> bool:
-    return all(_max_abs(mat @ other - other @ mat) <= OPERATOR_TOL for other in ops)
+    return [_sandwich(projector, pauli_matrix(v.ctx, v.a_coords, v.b_coords)) for v in vectors]
 
 
 def restricted_logical_ops(projector: Projector) -> list[np.ndarray]:
@@ -317,18 +283,55 @@ def is_subsystem_detectable(
     P e P commutes with the whole restricted logical algebra.  Scalar action
     on all of the code space (check_detectable) is the quick special case.
     """
-    ok, _ = check_detectable(projector, error)
-    if ok:
+    if check_detectable(projector, error)[0]:
         return True
     if logical_ops is None:
         logical_ops = restricted_logical_ops(projector)
-    sandwiched = projector.matrix @ error.realization @ projector.matrix
-    return _commutes_with_all(sandwiched, logical_ops)
+    sandwiched = _sandwich(projector, error)
+    return all(_max_abs(sandwiched @ op - op @ sandwiched) <= OPERATOR_TOL for op in logical_ops)
+
+
+class _Certification:
+    """What the checks share about one code, each part built once."""
+
+    def __init__(self, code: AdditiveCode):
+        self.code = code
+        self.hull = code.hull()
+        self.hull_dual = self.hull.dual()
+        self.dual = code.dual()
+
+    @cached_property
+    def projector(self) -> Projector:
+        return build_projector(self.code)
+
+    @cached_property
+    def distance(self) -> int | float:
+        return min_distance(self.code, method=BASIS)
+
+
+# The context that run_checks shares between its checks while they run.
+_bound: ContextVar[_Certification | None] = ContextVar("oqecc_certification", default=None)
+
+
+def _context(code: AdditiveCode) -> _Certification:
+    bound = _bound.get()
+    return bound if bound is not None and bound.code is code else _Certification(code)
+
+
+def _error_chunks(code: AdditiveCode) -> Iterator[tuple[np.ndarray, Iterator[ErrorOperator]]]:
+    """Digit rows and lifts of every error vector (a|b), a chunk at a time in
+    encoding order; the lifts are made one by one as they are consumed."""
+    ctx, n = code.ctx, code.n
+    for digits in _digit_chunks(ctx.p, code.num_columns):
+        coords = digits.reshape(len(digits), 2 * n, ctx.m) @ ctx.p ** np.arange(ctx.m)
+        rows = map(np.ndarray.tolist, coords)
+        yield digits, (ErrorOperator(ctx, row[:n], row[n:]) for row in rows)
 
 
 def verify_rank(code: AdditiveCode) -> VerifierReport:
     """Certify rank(P) = q^n/|hull| (build_projector aborts if violated)."""
-    projector = build_projector(code)
+    cx = _context(code)
+    projector = cx.projector
     return VerifierReport(
         check="rank",
         passed=True,
@@ -336,7 +339,7 @@ def verify_rank(code: AdditiveCode) -> VerifierReport:
         details={
             "rank": projector.rank,
             "dim": projector.dim,
-            "hull_size": code.hull().size,
+            "hull_size": cx.hull.size,
             "eigenvalues": [str(v) for v in projector.eigenvalue_choices],
         },
     )
@@ -345,43 +348,39 @@ def verify_rank(code: AdditiveCode) -> VerifierReport:
 def verify_detectability(code: AdditiveCode) -> VerifierReport:
     """Sweep every error vector and compare numerics with the set predicate.
 
-    An error is detectable by the logical subsystem iff its restriction
-    P e P commutes with the whole restricted logical algebra (equivalently
-    it acts as a scalar on the logical factor); scalar action on the full
-    code space, the check_detectable criterion, is the special case that
-    also covers every vector of the hull.  The predicate side says: the
-    vector lies outside dual(hull(X)) - X.  The sweep also certifies that
-    everything lighter than the minimum distance is detectable.
+    An error is detectable by the logical subsystem iff P e P commutes with
+    the whole restricted logical algebra (it acts as a scalar on the logical
+    factor); scalar action on the full code space, the check_detectable
+    criterion, is the special case that covers every hull vector.  The
+    predicate side says: the vector lies outside dual(hull(X)) - X.  The
+    sweep also certifies that everything lighter than d is detectable.
     """
-    projector = build_projector(code)
-    ctx = code.ctx
-    hull_dual = code.hull().dual()
+    cx = _context(code)
+    projector = cx.projector
+    # Only this check reads them; kept on the context they would outlive it.
     logical_ops = restricted_logical_ops(projector)
-    d = min_distance(code, method=BASIS)
+    mismatches, below_distance_failures = [], []
+    total = detectable_count = 0
+    for digits, errors in _error_chunks(code):
+        predicted = ~_bulk_membership(digits, cx.hull_dual) | _bulk_membership(digits, code)
+        weights = _bulk_weights(digits, code.ctx.m, code.n, SYMPLECTIC)
+        for error, pred, w in zip(errors, predicted.tolist(), weights.tolist()):
+            numeric = is_subsystem_detectable(projector, error, logical_ops)
+            vec = error.a + error.b
+            if numeric != pred:
+                mismatches.append({"vector": vec, "numeric": numeric, "predicted": pred})
+            if numeric:
+                detectable_count += 1
+            if w < cx.distance and not numeric:
+                below_distance_failures.append({"vector": vec, "swt": w})
+        total += len(digits)
 
-    mismatches = []
-    below_distance_failures = []
-    total = 0
-    detectable_count = 0
-    for vec in ambient_vectors(ctx, code.n, SYMPLECTIC):
-        total += 1
-        error = _lift(vec)
-        numeric = is_subsystem_detectable(projector, error, logical_ops)
-        predicted = not (vec in hull_dual and vec not in code)
-        if numeric != predicted:
-            mismatches.append({"vector": vec.coords, "numeric": numeric, "predicted": predicted})
-        if numeric:
-            detectable_count += 1
-        if swt(vec) < d and not numeric:
-            below_distance_failures.append({"vector": vec.coords, "swt": swt(vec)})
-
-    passed = not mismatches and not below_distance_failures
     return VerifierReport(
         check="detect",
-        passed=passed,
+        passed=not (mismatches or below_distance_failures),
         witnesses=tuple(mismatches + below_distance_failures),
         tolerances={"operator": OPERATOR_TOL},
-        details={"errors_swept": total, "detectable": detectable_count, "distance": d},
+        details={"errors_swept": total, "detectable": detectable_count, "distance": cx.distance},
     )
 
 
@@ -400,9 +399,10 @@ def verify_tensor_factorization(code: AdditiveCode) -> VerifierReport:
     of dual(X) only on the logical factor: all cross pairs must commute and
     the spans must have dimensions (dim B)^2 and (dim A)^2.
     """
-    projector = build_projector(code)
+    cx = _context(code)
+    projector = cx.projector
     dim_a, dim_b = subsystem_dimensions(code)
-    dual = code.dual()
+    dual = cx.dual
     budget = max_matrix_dim()
     if code.size > budget or dual.size > budget:
         raise CapExceededError(
@@ -421,27 +421,16 @@ def verify_tensor_factorization(code: AdditiveCode) -> VerifierReport:
 
     gauge_span = _span_dimension(gauge_ops)
     logical_span = _span_dimension(logical_ops)
-    span_ok = gauge_span == dim_b**2 and logical_span == dim_a**2
-    if not span_ok:
-        violations.append(
-            {
-                "gauge_span": gauge_span,
-                "expected_gauge_span": dim_b**2,
-                "logical_span": logical_span,
-                "expected_logical_span": dim_a**2,
-            }
-        )
+    if gauge_span != dim_b**2 or logical_span != dim_a**2:
+        violations.append({"gauge_span": gauge_span, "expected_gauge_span": dim_b**2,
+                           "logical_span": logical_span, "expected_logical_span": dim_a**2})
     return VerifierReport(
         check="tensor",
         passed=not violations,
         witnesses=tuple(violations),
         tolerances={"operator": OPERATOR_TOL, "singular_value_rtol": SPAN_SV_RTOL},
-        details={
-            "dim_a": dim_a,
-            "dim_b": dim_b,
-            "gauge_span": gauge_span,
-            "logical_span": logical_span,
-        },
+        details={"dim_a": dim_a, "dim_b": dim_b,
+                 "gauge_span": gauge_span, "logical_span": logical_span},
     )
 
 
@@ -449,28 +438,30 @@ def verify_character_support(code: AdditiveCode) -> VerifierReport:
     """Certify that Tr(e P) is nonzero exactly on lifts of hull vectors.
 
     For a hull vector the magnitude is exactly q^n/|hull|, otherwise exactly
-    zero, so the 1e-6 threshold has enormous margin.
+    zero, so the 1e-6 threshold has enormous margin.  The trace is the
+    gather-sum Tr(e P) = sum_x phase[x] P[x, target[x]].
     """
-    projector = build_projector(code)
-    ctx = code.ctx
-    hull = code.hull()
+    cx = _context(code)
+    matrix = cx.projector.matrix
+    states = np.arange(cx.projector.dim)
     mismatches = []
-    total = 0
-    support = 0
-    for vec in ambient_vectors(ctx, code.n, SYMPLECTIC):
-        total += 1
-        value = complex(np.einsum("ij,ji->", _lift(vec).realization, projector.matrix))
-        nonzero = abs(value) > TRACE_TOL
-        if nonzero:
-            support += 1
-        if nonzero != (vec in hull):
-            mismatches.append({"vector": vec.coords, "trace": value, "in_hull": vec in hull})
+    total = support = 0
+    for digits, errors in _error_chunks(code):
+        for error, member in zip(errors, _bulk_membership(digits, cx.hull).tolist()):
+            target, phase = error._monomial
+            value = complex(phase @ matrix[states, target])
+            nonzero = abs(value) > TRACE_TOL
+            if nonzero:
+                support += 1
+            if nonzero != member:
+                mismatches.append({"vector": error.a + error.b, "trace": value, "in_hull": member})
+        total += len(digits)
     return VerifierReport(
         check="support",
         passed=not mismatches,
         witnesses=tuple(mismatches),
         tolerances={"trace": TRACE_TOL},
-        details={"errors_swept": total, "support_size": support, "hull_size": hull.size},
+        details={"errors_swept": total, "support_size": support, "hull_size": cx.hull.size},
     )
 
 
@@ -485,8 +476,12 @@ _CHECK_FUNCTIONS = {
 
 
 def run_checks(code: AdditiveCode, checks: Sequence[str] = ALL_CHECKS) -> list[VerifierReport]:
-    """Run the named certification checks in a fixed order."""
+    """Run the named certification checks in a fixed order, on one shared context."""
     unknown = [c for c in checks if c not in _CHECK_FUNCTIONS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {list(ALL_CHECKS)}")
-    return [_CHECK_FUNCTIONS[c](code) for c in ALL_CHECKS if c in checks]
+    token = _bound.set(_Certification(code))
+    try:
+        return [_CHECK_FUNCTIONS[c](code) for c in ALL_CHECKS if c in checks]
+    finally:
+        _bound.reset(token)

@@ -2,14 +2,17 @@
 
 Everything here avoids the library's linear-algebra paths: spans are built
 by enumerating coefficient combinations over plain tuples, duals by scanning
-the whole ambient space against the pairing, weights by direct counting, and
-subspace families by enumerating echelon matrices cell by cell.
+the whole ambient space against the pairing, weights by direct counting,
+subspace families by enumerating echelon matrices cell by cell, and error
+operators as kron chains of per-site matrices.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+import numpy as np
 
 from oqecc.additive_code import AdditiveCode, SYMPLECTIC
 
@@ -152,3 +155,25 @@ def random_code(rng: random.Random, ctx, n, layout=SYMPLECTIC, nonzero=True):
 
 def code_vector_set(code: AdditiveCode) -> set:
     return {v.coords for v in code.vectors()}
+
+
+def _single_x(ctx, a):
+    mat = np.zeros((ctx.q, ctx.q), dtype=np.complex128)
+    for x in range(ctx.q):
+        mat[ctx.add(x, a), x] = 1.0
+    return mat
+
+
+def _single_z(ctx, b):
+    omega = np.exp(2j * np.pi / ctx.p)
+    return np.diag([omega ** ctx.trace(ctx.mul(b, x)) for x in range(ctx.q)])
+
+
+def kron_lift(ctx, a, b, phase_exp=0):
+    """Dense X(a)Z(b) times the global phase, as a kron chain of per-site
+    X(a_i) Z(b_i) matrices with the first coordinate leftmost."""
+    mat = np.eye(1, dtype=np.complex128)
+    for ai, bi in zip(a, b):
+        mat = np.kron(mat, _single_x(ctx, ai) @ _single_z(ctx, bi))
+    modulus = 2 * ctx.p if ctx.p == 2 else ctx.p
+    return mat * np.exp(2j * np.pi * phase_exp / modulus)

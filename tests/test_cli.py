@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oqecc
 from oqecc.cli import main
 from oqecc.codefile import parse_code_file
 
@@ -24,7 +30,12 @@ def test_params_output(running_file, capsys):
 
 def test_params_json(running_file, capsys):
     assert main(["params", "-i", running_file, "--json"]) == 0
-    record = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out == (
+        '{"d": 1, "dim_a": 2, "dim_b": 1, "dim_c": 2, "distance_method": "exhaustive", '
+        '"k": "1", "n": 2, "q": 2, "quartet": "[[2,1,0,1]]_2", "r": "0", "x": 2, "y": 2}\n'
+    )
+    record = json.loads(out)
     assert record["quartet"] == "[[2,1,0,1]]_2"
     assert record["d"] == 1
     assert record["k"] == "1" and record["r"] == "0"
@@ -145,3 +156,47 @@ def test_search_cli(tmp_path, capsys):
     assert "best d" in printed
     lines = out.read_text().splitlines()
     assert lines and all(json.loads(line)["seed"] == 3 for line in lines)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_invalid_matrix_cap_is_a_usage_error(running_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("OQECC_MAX_DIM", value)
+    assert main(["verify", "-i", running_file]) == 64
+    err = capsys.readouterr().err
+    assert "OQECC_MAX_DIM" in err and repr(value) in err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_quietly(running_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["params", "-i", running_file]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_in_a_child_process_is_quiet(running_file):
+    # The read end is closed before the child starts, so its first write fails.
+    src = str(Path(oqecc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "oqecc", "params", "-i", running_file],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert child.stderr == b""
+
+
+def test_exit_code_table_lists_subclasses_before_bases():
+    from oqecc import cli
+
+    kinds = list(cli._EXIT_CODES)
+    for i, early in enumerate(kinds):
+        assert not any(issubclass(late, early) for late in kinds[i + 1 :]), early

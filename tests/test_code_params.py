@@ -91,6 +91,15 @@ def test_whole_space_params():
     assert (params.dim_a, params.dim_b) == (1, 2)
     assert params.d == UNBOUNDED
     assert params.quartet() == "[[1,0,1,unbounded]]_2"
+    assert params.dimension_form() == "((1,1,2,unbounded))_2"
+    assert params.to_json()["d"] == "unbounded"
+
+
+def test_params_to_json_holds_the_nine_logged_fields():
+    record = subsystem_params(running_code()).to_json()
+    assert record == {
+        "n": 2, "q": 2, "x": 2, "y": 2, "dim_a": 2, "dim_b": 1, "k": "1", "r": "0", "d": 1,
+    }
 
 
 def test_zero_code_rejected():

@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from oqecc.additive_code import AdditiveCode, CodeVector, HERMITIAN, SYMPLECTIC, ambient_vectors, symplectic_form
-from oqecc.code_params import UNBOUNDED, subsystem_params
+from oqecc import code_params, verifier
+from oqecc.code_params import BASIS, UNBOUNDED, min_distance, subsystem_params
 from oqecc.errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -125,6 +126,17 @@ def test_commutator_phase_equals_form_exhaustively(p, m, n_max):
                 comm = mu @ mv @ mu.conj().T @ mv.conj().T
                 expected = omega ** symplectic_form(u, v) * np.eye(ctx.q**n)
                 assert np.abs(comm - expected).max() <= 1e-9
+
+
+@pytest.mark.parametrize("p,m,n_max", [(2, 1, 2), (3, 1, 2), (2, 2, 1), (5, 1, 1)])
+def test_monomial_lift_matches_kron_oracle(p, m, n_max):
+    ctx = gf_make(p, m)
+    for n in range(1, n_max + 1):
+        for v in ambient_vectors(ctx, n, SYMPLECTIC):
+            for phase_exp in (0, 1):
+                lift = pauli_matrix(ctx, v.a_coords, v.b_coords, phase_exp).realization
+                dense = oracles.kron_lift(ctx, v.a_coords, v.b_coords, phase_exp)
+                assert np.abs(lift - dense).max() <= 1e-12, (v, phase_exp)
 
 
 def test_matrix_cap():
@@ -376,3 +388,126 @@ def test_verify_rank_report():
     assert report.passed
     assert report.details["rank"] == 4
     assert report.details["hull_size"] == 4
+
+
+# -- the shared certification context ---------------------------------------------
+
+
+def test_run_checks_builds_the_projector_once(monkeypatch):
+    calls = []
+    real = verifier.build_projector
+
+    def counting(code, *args, **kwargs):
+        calls.append(code)
+        return real(code, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "build_projector", counting)
+    reports = run_checks(searched_4112())
+    assert [r.check for r in reports] == ["rank", "detect", "tensor", "support"]
+    assert all(r.passed for r in reports)
+    assert len(calls) == 1
+    calls.clear()
+    verify_rank(searched_4112())  # a check on its own builds its own
+    assert len(calls) == 1
+
+
+def _per_vector_sweeps(code, member=lambda vec, subspace: vec in subspace):
+    """(details, witnesses) of the detect and support checks, computed one
+    CodeVector at a time with kron-chain lifts and dense traces."""
+    ctx = code.ctx
+    projector = build_projector(code)
+    P = projector.matrix
+    hull = code.hull()
+    hull_dual = hull.dual()
+    logical = [P @ oracles.kron_lift(ctx, v.a_coords, v.b_coords) @ P for v in code.dual().basis_vectors()]
+    d = min_distance(code, method=BASIS)
+    mismatches, light, detectable, total = [], [], 0, 0
+    support_mismatches, support = [], 0
+    for vec in ambient_vectors(ctx, code.n, SYMPLECTIC):
+        total += 1
+        error = oracles.kron_lift(ctx, vec.a_coords, vec.b_coords)
+        sandwiched = P @ error @ P
+        lam = np.trace(sandwiched) / projector.rank
+        numeric = bool(
+            np.abs(sandwiched - lam * P).max() <= 1e-9
+            or all(np.abs(sandwiched @ op - op @ sandwiched).max() <= 1e-9 for op in logical)
+        )
+        predicted = not (member(vec, hull_dual) and not member(vec, code))
+        if numeric != predicted:
+            mismatches.append({"vector": vec.coords, "numeric": numeric, "predicted": predicted})
+        detectable += numeric
+        weight = oracles.brute_weight(SYMPLECTIC, vec.coords)
+        if weight < d and not numeric:
+            light.append({"vector": vec.coords, "swt": weight})
+        trace = complex(np.trace(error @ P))
+        nonzero = abs(trace) > 1e-6
+        support += nonzero
+        if nonzero != member(vec, hull):
+            support_mismatches.append({"vector": vec.coords, "trace": trace, "in_hull": member(vec, hull)})
+    detect = ({"errors_swept": total, "detectable": detectable, "distance": d}, tuple(mismatches + light))
+    support_report = (
+        {"errors_swept": total, "support_size": support, "hull_size": hull.size},
+        tuple(support_mismatches),
+    )
+    return detect, support_report
+
+
+def _assert_same_support_witnesses(got, expected):
+    assert [(w["vector"], w["in_hull"]) for w in got] == [(w["vector"], w["in_hull"]) for w in expected]
+    assert all(abs(g["trace"] - e["trace"]) <= 1e-9 for g, e in zip(got, expected))
+
+
+def _gf4_code():
+    return oracles.random_code(random.Random(11), gf_make(2, 2), 2)
+
+
+@pytest.mark.parametrize("make_code", [_gf4_code, searched_4112], ids=["gf4", "searched_4112"])
+def test_sweeps_match_the_per_vector_oracle(make_code, monkeypatch):
+    # A small chunk puts chunk boundaries inside the sweep.
+    monkeypatch.setattr(code_params, "_CHUNK", 7)
+    code = make_code()
+    (detect_details, detect_witnesses), (support_details, support_witnesses) = _per_vector_sweeps(code)
+    detect = verify_detectability(code)
+    support = verify_character_support(code)
+    assert detect.passed and support.passed
+    assert (detect.details, detect.witnesses) == (detect_details, detect_witnesses)
+    assert (support.details, support.witnesses) == (support_details, support_witnesses)
+
+
+def _y_code():
+    # The hull lift X(1)Z(1) has eigenvalues +-i, so Tr(e P) is not real.
+    return AdditiveCode.from_generators(gf_make(2, 1), 1, SYMPLECTIC, [(1, 1)])
+
+
+def _flip_membership_in(target, monkeypatch):
+    """Negate bulk membership in `target` on the verifier's predicate side;
+    returns the per-vector oracle's membership with the same flip."""
+    real = verifier._bulk_membership
+
+    def membership(digits, subspace):
+        mask = real(digits, subspace)
+        return ~mask if subspace == target else mask
+
+    monkeypatch.setattr(verifier, "_bulk_membership", membership)
+    return lambda vec, subspace: (vec in subspace) != (subspace == target)
+
+
+@pytest.mark.parametrize("make_code", [_gf4_code, running_code], ids=["gf4", "running"])
+def test_forced_detect_failures_give_the_oracle_witnesses(make_code, monkeypatch):
+    code = make_code()
+    member = _flip_membership_in(code.hull().dual(), monkeypatch)
+    (details, witnesses), _ = _per_vector_sweeps(code, member)
+    report = verify_detectability(code)
+    assert not report.passed and witnesses
+    assert (report.details, report.witnesses) == (details, witnesses)
+
+
+@pytest.mark.parametrize("make_code", [_gf4_code, running_code, _y_code], ids=["gf4", "running", "y"])
+def test_forced_support_failures_give_the_oracle_witnesses(make_code, monkeypatch):
+    code = make_code()
+    member = _flip_membership_in(code.hull(), monkeypatch)
+    _, (details, witnesses) = _per_vector_sweeps(code, member)
+    report = verify_character_support(code)
+    assert not report.passed and witnesses
+    assert report.details == details
+    _assert_same_support_witnesses(report.witnesses, witnesses)
