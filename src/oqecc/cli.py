@@ -114,7 +114,8 @@ def cmd_verify(args) -> int:
             }
             for r in reports
         ]
-        print(json.dumps(payload, sort_keys=True))
+        # A support witness carries its trace as a complex: written as str.
+        print(json.dumps(payload, sort_keys=True, default=str))
     else:
         for r in reports:
             status = "pass" if r.passed else "FAIL"

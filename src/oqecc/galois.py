@@ -10,32 +10,28 @@ The modulus polynomial of each field is the monic irreducible polynomial of
 the required degree whose non-leading coefficients have the smallest integer
 encoding, found by exhaustive search at construction time.  A context is
 therefore fully determined by (p, m) and identical across runs and machines.
+
+Both fields are one table type, _Field, built twice: addition and negation
+work digit-wise on base-p digit rows; multiplication, inversion and powers
+are lookups in exp/log tables of the least primitive element.  Polynomial
+arithmetic runs only while those tables are built (q^2 <= 4096 elements).
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .errors import (
-    FieldTooLargeError,
-    NotInSubfieldError,
-    NotPrimeError,
-    OutOfRangeError,
-)
+import numpy as np
+
+from .errors import FieldTooLargeError, NotInSubfieldError, NotPrimeError, OutOfRangeError
 
 MAX_FIELD_SIZE = 64
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
@@ -54,70 +50,114 @@ def _undigits(digits, p: int) -> int:
     return value
 
 
-def _poly_mul(a, b, p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def _poly_rem(a, mod, p: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial mod, over F_p."""
+    """Remainder of a (at least deg(mod) coefficients) modulo the monic mod, over F_p."""
     a = list(a)
     deg = len(mod) - 1
-    if len(a) < deg:
-        a += [0] * (deg - len(a))
     for i in range(len(a) - 1, deg - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
+        if a[i]:
             for j in range(deg):
-                a[i - deg + j] = (a[i - deg + j] - c * mod[j]) % p
+                a[i - deg + j] = (a[i - deg + j] - a[i] * mod[j]) % p
     return a[:deg]
 
 
-def _is_irreducible(poly, p: int) -> bool:
-    """Test a monic polynomial for irreducibility by trial division.
-
-    Fine for the desk-scale degrees used here (at most 12).
-    """
-    degree = len(poly) - 1
-    if degree <= 0:
-        return False
-    if degree == 1:
-        return True
-    for d in range(1, degree // 2 + 1):
-        for t in range(p**d):
-            divisor = list(_digits(t, p, d)) + [1]
-            if not any(_poly_rem(poly, divisor, p)):
-                return False
-    return True
-
-
 def _least_irreducible(p: int, degree: int) -> tuple[int, ...]:
+    """The least-encoded monic irreducible of the degree (at most 12), by trial division."""
     for t in range(p**degree):
         candidate = list(_digits(t, p, degree)) + [1]
-        if _is_irreducible(candidate, p):
+        divisors = (list(_digits(s, p, d)) + [1]
+                    for d in range(1, degree // 2 + 1) for s in range(p**d))
+        if all(any(_poly_rem(candidate, divisor, p)) for divisor in divisors):
             return tuple(candidate)
     raise AssertionError(f"no irreducible polynomial of degree {degree} over F_{p}")
 
 
-class GfContext:
-    """Arithmetic tables and metadata for GF(q), q = p^m, and for GF(q^2).
+def _primitive_powers(p: int, modulus) -> list[int]:
+    """g^0, g^1, ..., g^(p^k - 2) for the least primitive g of F_p[X]/(modulus)."""
+    k = len(modulus) - 1
+    for g in range(1, p**k):
+        g_row = _digits(g, p, k)
+        powers, row = [1], g_row
+        while (x := _undigits(row, p)) != 1:
+            powers.append(x)
+            prod = [0] * (2 * k - 1)
+            for i, a in enumerate(row):
+                if a:
+                    for j, b in enumerate(g_row):
+                        prod[i + j] += a * b
+            row = _poly_rem([c % p for c in prod], modulus, p)
+        if len(powers) == p**k - 1:
+            return powers
+    raise AssertionError(f"F_{p}[X]/{modulus} has no primitive element")
 
-    Base-field multiplication and inversion are table driven; the quadratic
-    extension uses direct polynomial arithmetic, which is plenty at q <= 64.
-    Instances are immutable after construction and safe to share between
-    threads.  Build them through :func:`gf_make`, which caches one context
-    per (p, m) pair.
+
+class _Field:
+    """GF(p^k) as tables over integer encodings.
+
+    digits[x] is the base-p digit row of x.  exp lists the powers of the
+    least primitive element twice over and log inverts it on the nonzero
+    elements, so x * y = exp[log[x] + log[y]] needs no reduction.
+    """
+
+    def __init__(self, p: int, k: int):
+        self.p = p
+        self.size = p**k
+        self.modulus = _least_irreducible(p, k)
+        self.digits = tuple(_digits(x, p, k) for x in range(self.size))
+        powers = _primitive_powers(p, self.modulus)
+        self.exp = tuple(powers + powers)
+        self.log = {x: i for i, x in enumerate(powers)}
+
+    def check(self, x) -> int:
+        x = operator.index(x)
+        if not 0 <= x < self.size:
+            raise OutOfRangeError(f"{x} is not an element encoding of GF({self.size})")
+        return x
+
+    def add(self, x: int, y: int) -> int:
+        rows = zip(self.digits[self.check(x)], self.digits[self.check(y)])
+        return _undigits([(a + b) % self.p for a, b in rows], self.p)
+
+    def neg(self, x: int) -> int:
+        return _undigits([-a % self.p for a in self.digits[self.check(x)]], self.p)
+
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.neg(y))
+
+    def mul(self, x: int, y: int) -> int:
+        x, y = self.check(x), self.check(y)
+        return self.exp[self.log[x] + self.log[y]] if x and y else 0
+
+    def inv(self, x: int) -> int:
+        if self.check(x) == 0:
+            raise ZeroDivisionError(f"0 has no inverse in GF({self.size})")
+        return self.exp[self.size - 1 - self.log[x]]
+
+    def pow(self, x: int, k: int) -> int:
+        if k < 0:
+            x, k = self.inv(x), -k
+        if self.check(x) == 0:
+            return 0 if k else 1
+        return self.exp[self.log[x] * k % (self.size - 1)]
+
+    def evaluate(self, coeffs, z: int) -> int:
+        """sum_i coeffs[i] z^i, for coefficients in the prime field."""
+        return reduce(self.add, (self.mul(c, self.pow(z, i)) for i, c in enumerate(coeffs)))
+
+
+class GfContext:
+    """Arithmetic and metadata for GF(q), q = p^m, and for GF(q^2).
+
+    Each field is a _Field: digit rows for addition, exp/log tables for
+    multiplication, inversion and powers.  add_table[x, y] = x + y and
+    trace_mul_table[b, x] = tr(b x) are read-only q x q numpy arrays for
+    vectorized callers.  Instances are immutable after construction and safe
+    to share between threads.  Build them through :func:`gf_make`, which
+    caches one context per (p, m) pair.
     """
 
     def __init__(self, p: int, m: int):
-        p = operator.index(p)
-        m = operator.index(m)
+        p, m = operator.index(p), operator.index(m)
         if not _is_prime(p):
             raise NotPrimeError(f"p={p} is not prime")
         if m < 1:
@@ -126,65 +166,32 @@ class GfContext:
         if q > MAX_FIELD_SIZE:
             raise FieldTooLargeError(f"q = {p}^{m} = {q} exceeds the cap {MAX_FIELD_SIZE}")
 
-        self.p = p
-        self.m = m
-        self.q = q
-        self.q2 = q * q
-        self.modulus_poly = _least_irreducible(p, m)
-        self.ext_modulus_poly = _least_irreducible(p, 2 * m)
+        self.p, self.m, self.q, self.q2 = p, m, q, q * q
+        self._base = base = _Field(p, m)
+        self._ext = ext = _Field(p, 2 * m)
+        self.modulus_poly = base.modulus
+        self.ext_modulus_poly = ext.modulus
 
-        mul = []
-        for x in range(q):
-            dx = _digits(x, p, m)
-            row = []
-            for y in range(q):
-                prod = _poly_mul(dx, _digits(y, p, m), p)
-                row.append(_undigits(_poly_rem(prod, self.modulus_poly, p), p))
-            mul.append(tuple(row))
-        self._mul = tuple(mul)
+        self._trace = tuple(reduce(base.add, (base.pow(x, p**i) for i in range(m)))
+                            for x in range(q))
+        assert max(self._trace) < p, "trace landed outside the prime field"
 
-        inv = [0] * q
-        for x in range(1, q):
-            inv[x] = self._mul[x].index(1)
-        self._inv = tuple(inv)
-
-        trace = []
-        for x in range(q):
-            acc = x
-            t = x
-            for _ in range(m - 1):
-                t = self.pow(t, p)
-                acc = self.add(acc, t)
-            assert acc < p, "trace landed outside the prime field"
-            trace.append(acc)
-        self._trace = tuple(trace)
-
-        # The least root of the base modulus inside GF(q^2) fixes the embedding.
-        root = None
-        for cand in range(self.q2):
-            acc = 0
-            for coeff in reversed(self.modulus_poly):
-                acc = self.ext_add(self.ext_mul(acc, cand), coeff)
-            if acc == 0:
-                root = cand
-                break
-        assert root is not None, "base modulus has no root in the quadratic extension"
-        embed = []
-        for x in range(q):
-            value = 0
-            power = 1
-            for d in _digits(x, p, m):
-                if d:
-                    value = self.ext_add(value, self.ext_mul(d, power))
-                power = self.ext_mul(power, root)
-            embed.append(value)
-        self.embed_table = tuple(embed)
-        self._embed_index = {v: x for x, v in enumerate(embed)}
+        # The least root of the base modulus inside GF(q^2) fixes the embedding:
+        # x maps to its digit row evaluated at that root.
+        root = next(z for z in range(self.q2) if ext.evaluate(self.modulus_poly, z) == 0)
+        self.embed_table = tuple(ext.evaluate(row, root) for row in base.digits)
+        self._embed_index = {v: x for x, v in enumerate(self.embed_table)}
         assert len(self._embed_index) == q, "embedding is not injective"
         assert self.embed_table[1] == 1
 
         self.beta = find_normal_beta(self)
-        self.beta_q = self.ext_pow(self.beta, q)
+        self.beta_q = ext.pow(self.beta, q)
+
+        self.add_table = np.array([[base.add(x, y) for y in range(q)] for x in range(q)])
+        products = np.array([[base.mul(b, x) for x in range(q)] for b in range(q)])
+        self.trace_mul_table = np.array(self._trace)[products]
+        self.add_table.setflags(write=False)
+        self.trace_mul_table.setflags(write=False)
 
     # -- base field GF(q) ------------------------------------------------
 
@@ -192,141 +199,69 @@ class GfContext:
         return range(self.q)
 
     def _check(self, x) -> int:
-        x = operator.index(x)
-        if not 0 <= x < self.q:
-            raise OutOfRangeError(f"{x} is not an element encoding of GF({self.q})")
-        return x
+        return self._base.check(x)
 
     def add(self, x: int, y: int) -> int:
-        x, y = self._check(x), self._check(y)
-        p = self.p
-        out = 0
-        mult = 1
-        while x or y:
-            out += ((x % p + y % p) % p) * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
+        return self._base.add(x, y)
 
     def neg(self, x: int) -> int:
-        x = self._check(x)
-        p = self.p
-        out = 0
-        mult = 1
-        while x:
-            out += (-x % p) * mult
-            x //= p
-            mult *= p
-        return out
+        return self._base.neg(x)
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return self._base.sub(x, y)
 
     def mul(self, x: int, y: int) -> int:
-        return self._mul[self._check(x)][self._check(y)]
+        return self._base.mul(x, y)
 
     def inv(self, x: int) -> int:
-        x = self._check(x)
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(q)")
-        return self._inv[x]
+        return self._base.inv(x)
 
     def pow(self, x: int, k: int) -> int:
-        x = self._check(x)
-        if k < 0:
-            x, k = self.inv(x), -k
-        out = 1
-        while k:
-            if k & 1:
-                out = self._mul[out][x]
-            x = self._mul[x][x]
-            k >>= 1
-        return out
+        return self._base.pow(x, k)
 
     def trace(self, x: int) -> int:
         """Trace from GF(q) down to the prime field F_p."""
-        return self._trace[self._check(x)]
+        return self._trace[self._base.check(x)]
 
     # -- quadratic extension GF(q^2) --------------------------------------
 
     def ext_elements(self) -> range:
         return range(self.q2)
 
-    def _check_ext(self, x) -> int:
-        x = operator.index(x)
-        if not 0 <= x < self.q2:
-            raise OutOfRangeError(f"{x} is not an element encoding of GF({self.q2})")
-        return x
-
     def ext_add(self, x: int, y: int) -> int:
-        x, y = self._check_ext(x), self._check_ext(y)
-        p = self.p
-        out = 0
-        mult = 1
-        while x or y:
-            out += ((x % p + y % p) % p) * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
+        return self._ext.add(x, y)
 
     def ext_neg(self, x: int) -> int:
-        x = self._check_ext(x)
-        p = self.p
-        out = 0
-        mult = 1
-        while x:
-            out += (-x % p) * mult
-            x //= p
-            mult *= p
-        return out
+        return self._ext.neg(x)
 
     def ext_sub(self, x: int, y: int) -> int:
-        return self.ext_add(x, self.ext_neg(y))
+        return self._ext.sub(x, y)
 
     def ext_mul(self, x: int, y: int) -> int:
-        x, y = self._check_ext(x), self._check_ext(y)
-        w = 2 * self.m
-        prod = _poly_mul(_digits(x, self.p, w), _digits(y, self.p, w), self.p)
-        return _undigits(_poly_rem(prod, self.ext_modulus_poly, self.p), self.p)
+        return self._ext.mul(x, y)
 
     def ext_pow(self, x: int, k: int) -> int:
-        x = self._check_ext(x)
-        if k < 0:
-            x, k = self.ext_inv(x), -k
-        out = 1
-        while k:
-            if k & 1:
-                out = self.ext_mul(out, x)
-            x = self.ext_mul(x, x)
-            k >>= 1
-        return out
+        return self._ext.pow(x, k)
 
     def ext_inv(self, x: int) -> int:
-        x = self._check_ext(x)
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(q^2)")
-        return self.ext_pow(x, self.q2 - 2)
+        return self._ext.inv(x)
 
     # -- moving between the fields ----------------------------------------
 
     def embed(self, x: int) -> int:
         """Map an element of GF(q) to its image in GF(q^2)."""
-        return self.embed_table[self._check(x)]
+        return self.embed_table[self._base.check(x)]
 
     def is_embedded(self, z: int) -> bool:
-        return self._check_ext(z) in self._embed_index
+        return self._ext.check(z) in self._embed_index
 
     def ext_to_base(self, z: int) -> int:
         """Pull an embedded extension element back to GF(q)."""
-        z = self._check_ext(z)
-        try:
-            return self._embed_index[z]
-        except KeyError:
+        z = self._ext.check(z)
+        if z not in self._embed_index:
             raise NotInSubfieldError(
-                f"{z} lies outside the embedded GF({self.q}) inside GF({self.q2})"
-            ) from None
+                f"{z} lies outside the embedded GF({self.q}) inside GF({self.q2})")
+        return self._embed_index[z]
 
     def ext_trace_to_base(self, z: int) -> int:
         """Trace to F_p of an extension element known to sit in embedded GF(q)."""

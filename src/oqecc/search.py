@@ -56,6 +56,8 @@ def search_records(
     p: int, m: int, n: int, count: int, seed: int, jobs: int = 1
 ) -> list[dict]:
     """Evaluate `count` seeded candidates; deduplicated, in draw order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
     if jobs < 1:

@@ -4,7 +4,7 @@ The error operators are X(a)|x> = |x+a> and Z(b)|x> = omega^tr(bx)|x> with
 omega = exp(2*pi*i/p), tensored coordinate-wise with the first coordinate
 most significant.  A vector (a|b) lifts to the monomial unitary
 X(a)Z(b)|x> = omega^tr(b.x)|x+a>: a target index and a phase exponent per
-basis state, read from the field's add, mul and trace tables.  The code
+basis state, read from the field's q x q add and tr(b x) arrays.  The code
 projector of a nonzero symplectic-layout code X is the product of commuting
 eigenspace projectors of the lifted hull generators, one chosen eigenvalue
 each.  run_checks builds one context per code (projector, hull, dual(hull),
@@ -29,7 +29,7 @@ import itertools
 import os
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -69,13 +69,6 @@ def _check_dim(ctx: GfContext, n: int) -> int:
     return dim
 
 
-@lru_cache(maxsize=None)
-def _field_arrays(ctx: GfContext) -> tuple[np.ndarray, np.ndarray]:
-    """The q x q tables x + y, indexed [x, y], and tr(b x), indexed [b, x]."""
-    add = np.array([[ctx.add(x, y) for y in ctx.elements()] for x in ctx.elements()])
-    return add, np.array(ctx._trace)[np.array(ctx._mul)]
-
-
 class ErrorOperator:
     """A phase exponent plus a vector (a|b), realizable as a q^n unitary.
 
@@ -106,13 +99,13 @@ class ErrorOperator:
     def _monomial(self) -> tuple[np.ndarray, np.ndarray]:
         """(target, phase): column x holds phase[x] in row target[x], the index
         of x + a.  Built one coordinate at a time, as a kron chain would be."""
-        add, trace_mul = _field_arrays(self.ctx)
+        ctx = self.ctx
         target = exponent = np.zeros(1, dtype=np.int64)
         for ai, bi in zip(self.a, self.b):
-            target = (target[:, None] * self.ctx.q + add[ai]).ravel()
-            exponent = (exponent[:, None] + trace_mul[bi]).ravel()
+            target = (target[:, None] * ctx.q + ctx.add_table[ai]).ravel()
+            exponent = (exponent[:, None] + ctx.trace_mul_table[bi]).ravel()
         modulus = self.phase_modulus
-        exponent = exponent * (modulus // self.ctx.p) + self.phase_exp
+        exponent = exponent * (modulus // ctx.p) + self.phase_exp
         return target, np.exp(2j * np.pi * (exponent % modulus) / modulus)
 
     @cached_property
@@ -145,7 +138,7 @@ def _eigenvalue_candidates(ctx: GfContext, v: CodeVector) -> list[complex]:
     p = ctx.p
     if p == 2:
         # The trace is additive, so tr(a.b) = sum_i tr(a_i b_i) mod 2.
-        if _field_arrays(ctx)[1][v.a_coords, v.b_coords].sum() % 2:
+        if ctx.trace_mul_table[v.a_coords, v.b_coords].sum() % 2:
             return [1j, -1j]
         return [1.0 + 0j, -1.0 + 0j]
     omega = np.exp(2j * np.pi / p)

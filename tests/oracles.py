@@ -3,8 +3,9 @@
 Everything here avoids the library's linear-algebra paths: spans are built
 by enumerating coefficient combinations over plain tuples, duals by scanning
 the whole ambient space against the pairing, weights by direct counting,
-subspace families by enumerating echelon matrices cell by cell, and error
-operators as kron chains of per-site matrices.
+subspace families by enumerating echelon matrices cell by cell, error
+operators as kron chains of per-site matrices, and field arithmetic as
+polynomial arithmetic on digit rows.
 """
 
 from __future__ import annotations
@@ -15,6 +16,61 @@ import random
 import numpy as np
 
 from oqecc.additive_code import AdditiveCode, SYMPLECTIC
+
+
+class PolyField:
+    """GF(p^k) as F_p[X]/(modulus) on base-p digit rows, least significant
+    first: a schoolbook product and a long division on every multiplication,
+    Fermat's little theorem for inverses."""
+
+    def __init__(self, p, modulus):
+        self.p = p
+        self.modulus = tuple(modulus)
+        self.k = len(modulus) - 1
+        self.size = p**self.k
+        self.rows = [[(x // p**i) % p for i in range(self.k)] for x in range(self.size)]
+        self.weights = [p**i for i in range(self.k)]
+
+    def row(self, x):
+        return self.rows[x]
+
+    def value(self, row):
+        return sum(d * w for d, w in zip(row, self.weights))
+
+    def add(self, x, y):
+        return self.value([(a + b) % self.p for a, b in zip(self.row(x), self.row(y))])
+
+    def neg(self, x):
+        return self.value([-a % self.p for a in self.row(x)])
+
+    def mul(self, x, y):
+        p, k = self.p, self.k
+        prod = [0] * (2 * k - 1)
+        for i, a in enumerate(self.row(x)):
+            if a:
+                for j, b in enumerate(self.row(y)):
+                    prod[i + j] = (prod[i + j] + a * b) % p
+        for top in range(2 * k - 2, k - 1, -1):  # subtract prod[top] X^(top-k) modulus
+            lead = prod[top]
+            for j, c in enumerate(self.modulus):
+                prod[top - k + j] = (prod[top - k + j] - lead * c) % p
+        return self.value(prod[:k])
+
+    def pow(self, x, e):
+        if e < 0:
+            x, e = self.inv(x), -e
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return out
+
+    def inv(self, x):
+        if x == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        return self.pow(x, self.size - 2)
 
 
 def coords_from_digits(ctx, layout, digits):

@@ -128,6 +128,25 @@ def test_verify_failure_exits_with_theory_code(running_file, monkeypatch, capsys
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_json_with_a_failing_support_check(running_file, monkeypatch, capsys):
+    from oqecc import verifier
+
+    assert main(["verify", "-i", running_file, "--checks", "support", "--json"]) == 0
+    passing = capsys.readouterr().out
+    assert json.loads(passing)[0]["witnesses"] == []
+    real = verifier._bulk_membership
+    monkeypatch.setattr(verifier, "_bulk_membership", lambda digits, sub: ~real(digits, sub))
+    assert main(["verify", "-i", running_file, "--checks", "support", "--json"]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (report,) = json.loads(captured.out)
+    assert report["check"] == "support" and not report["passed"]
+    assert report["witnesses"]
+    for witness in report["witnesses"]:
+        assert isinstance(witness["trace"], str)
+        assert (abs(complex(witness["trace"])) > verifier.TRACE_TOL) != witness["in_hull"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["params"])  # missing -i
@@ -142,6 +161,15 @@ def test_search_argument_validation(tmp_path, capsys):
     base = ["search", "-p", "2", "-m", "1", "-n", "2", "--seed", "1", "-o", str(out)]
     assert main(base + ["--count", "0"]) == 64
     assert main(base + ["--count", "5", "--jobs", "0"]) == 64
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_search_rejects_a_nonpositive_length(tmp_path, capsys, n):
+    out = tmp_path / "log.jsonl"
+    argv = ["search", "-p", "2", "-m", "1", "-n", n, "--count", "5", "--seed", "1", "-o", str(out)]
+    assert main(argv) == 64
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+    assert not out.exists()
 
 
 def test_search_cli(tmp_path, capsys):

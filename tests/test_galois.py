@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from oqecc.errors import (
     FieldTooLargeError,
     NotInSubfieldError,
@@ -9,6 +11,65 @@ from oqecc.errors import (
 from oqecc.galois import find_normal_beta, gf_make
 
 SMALL_FIELDS = [(2, 1), (2, 2), (3, 1), (2, 3), (5, 1), (7, 1), (3, 2)]
+ALL_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+              for m in range(1, 7) if p**m <= 64]
+# q^2 <= 256: small enough to check every pair against the polynomial oracle.
+PAIRWISE_FIELDS = [(p, m) for p, m in ALL_FIELDS if p ** (2 * m) <= 256]
+
+
+def _both_fields(ctx):
+    """(oracle, add, neg, sub, mul, inv, pow) for GF(q) and for GF(q^2)."""
+    return (
+        (oracles.PolyField(ctx.p, ctx.modulus_poly),
+         ctx.add, ctx.neg, ctx.sub, ctx.mul, ctx.inv, ctx.pow),
+        (oracles.PolyField(ctx.p, ctx.ext_modulus_poly),
+         ctx.ext_add, ctx.ext_neg, ctx.ext_sub, ctx.ext_mul, ctx.ext_inv, ctx.ext_pow),
+    )
+
+
+def _check_pair(field, x, y):
+    oracle, add, neg, sub, mul, inv, pow_ = field
+    assert add(x, y) == oracle.add(x, y)
+    assert sub(x, y) == oracle.add(x, oracle.neg(y))
+    assert mul(x, y) == oracle.mul(x, y)
+
+
+def _check_element(field, x, exponents):
+    oracle, add, neg, sub, mul, inv, pow_ = field
+    assert neg(x) == oracle.neg(x)
+    if x:
+        assert inv(x) == oracle.inv(x)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            inv(x)
+    for e in exponents:
+        if x or e >= 0:
+            assert pow_(x, e) == oracle.pow(x, e)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                pow_(x, e)
+
+
+@pytest.mark.parametrize("p,m", PAIRWISE_FIELDS)
+def test_every_pair_matches_the_polynomial_oracle(p, m):
+    for field in _both_fields(gf_make(p, m)):
+        size = field[0].size
+        for x in range(size):
+            for y in range(size):
+                _check_pair(field, x, y)
+            _check_element(field, x, (-size, -2, -1, 0, 1, 2, p, size - 1, size, 2 * size + 1))
+
+
+@pytest.mark.parametrize("p,m", ALL_FIELDS)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_drawn_elements_match_the_polynomial_oracle(p, m, data):
+    for field in _both_fields(gf_make(p, m)):
+        element = st.integers(0, field[0].size - 1)
+        exponent = st.integers(-3 * field[0].size, 3 * field[0].size)
+        x = data.draw(element)
+        _check_pair(field, x, data.draw(element))
+        _check_element(field, x, (data.draw(exponent), 0, -1))
 
 
 def test_prime_field_context():
