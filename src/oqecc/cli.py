@@ -101,8 +101,9 @@ def cmd_verify(args) -> int:
         print("note: hermitian input converted to the symplectic layout", file=sys.stderr)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in checks if c not in ALL_CHECKS]
-    if unknown:
-        raise ParseError(f"unknown checks {unknown}; available: {','.join(ALL_CHECKS)}")
+    if unknown or not checks:
+        problem = f"unknown checks {unknown}" if unknown else "no checks selected"
+        raise ParseError(f"{problem}; available: {','.join(ALL_CHECKS)}")
     reports = run_checks(code, checks)
     if args.json:
         payload = [

@@ -5,14 +5,15 @@ omega = exp(2*pi*i/p), tensored coordinate-wise with the first coordinate
 most significant.  A vector (a|b) lifts to the monomial unitary
 X(a)Z(b)|x> = omega^tr(b.x)|x+a>: a target index and a phase exponent per
 basis state, read from the field's q x q add and tr(b x) arrays.  The code
-projector of a nonzero symplectic-layout code X is the product of commuting
-eigenspace projectors of the lifted hull generators, one chosen eigenvalue
-each.  run_checks builds one context per code (projector, hull, dual(hull),
-dual(X), minimum distance) that every check reads; the error sweeps take set
-membership in bulk by encoding index.  The checks certify, entirely
-numerically:
+projector P of a nonzero symplectic-layout code X is the product of
+commuting eigenspace projectors of the lifted hull generators, one chosen
+eigenvalue each; the orthonormal columns of its isometry V span the
+K-dimensional code space, on which a lift l restricts to V^dagger l V (K x K).
+run_checks builds one context per code (projector, minimum distance) that
+every check reads; the error sweeps take set membership in bulk by encoding
+index.  The checks certify, entirely numerically:
 
-  * rank(P) = q^n / |hull(X)|,
+  * rank(P) = K = q^n / |hull(X)|,
   * an error is subsystem-detectable exactly when its vector is outside
     dual(hull(X)) - X,
   * restricted gauge and logical operators commute and span algebras of
@@ -158,13 +159,15 @@ def _eigenspace_projector(op: np.ndarray, eigenvalue: complex, p: int) -> np.nda
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """The code projector with the data used to build it."""
+    """The code projector with the data used to build it; isometry is V, whose
+    orthonormal columns span the code space, so V V^dagger = matrix."""
 
     matrix: np.ndarray
     source_code: AdditiveCode
     hull_basis: tuple[CodeVector, ...]
     eigenvalue_choices: tuple[complex, ...]
     rank: int
+    isometry: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -210,34 +213,37 @@ def build_projector(code: AdditiveCode, eigenvalue_picks: Sequence[int] | None =
         raise TheoryViolationError("projector is not Hermitian within tolerance")
     if _max_abs(matrix @ matrix - matrix) > OPERATOR_TOL:
         raise TheoryViolationError("projector is not idempotent within tolerance")
-    rank = int((np.linalg.eigvalsh(matrix) > 0.5).sum())
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    isometry = eigenvectors[:, eigenvalues > 0.5]
+    rank = isometry.shape[1]
     expected = dim // (ctx.p**hull.rank)
     if rank != expected:
         raise RankMismatchError(
             f"projector rank {rank} but q^n/|hull| = {expected}; the theory was violated"
         )
     return Projector(matrix=matrix, source_code=code, hull_basis=generators,
-                     eigenvalue_choices=tuple(choices), rank=rank)
+                     eigenvalue_choices=tuple(choices), rank=rank, isometry=isometry)
 
 
-def _sandwich(projector: Projector, error: ErrorOperator) -> np.ndarray:
-    """P e P, with P e as a column gather: (P e)[:, x] = phase[x] P[:, target[x]]."""
+def _restrict(projector: Projector, error: ErrorOperator) -> np.ndarray:
+    """V^dagger e V, a row gather of V: (e V)[target[x]] = phase[x] V[x]."""
     target, phase = error._monomial
     if target.size != projector.dim:
         raise DimensionMismatchError("projector and error dimensions differ")
-    return (projector.matrix[:, target] * phase) @ projector.matrix
+    isometry = projector.isometry
+    return isometry[target].conj().T @ (phase[:, None] * isometry)
 
 
 def check_detectable(projector: Projector, error: ErrorOperator) -> tuple[bool, complex | None]:
-    """Whether P e P = lambda P, with lambda = Tr(P e P)/rank(P) when it holds.
+    """Whether V^dagger e V = lambda I_K, with lambda = Tr(V^dagger e V)/K when it holds.
 
     This is the code-subspace criterion; gauge errors that merely act inside
     the co-subsystem fail it without harming the encoded information (see
     verify_detectability).
     """
-    sandwiched = _sandwich(projector, error)
-    lam = complex(np.trace(sandwiched) / projector.rank)
-    if _max_abs(sandwiched - lam * projector.matrix) <= OPERATOR_TOL:
+    restricted = _restrict(projector, error)
+    lam = complex(np.trace(restricted) / projector.rank)
+    if _max_abs(restricted - lam * np.eye(projector.rank)) <= OPERATOR_TOL:
         return True, lam
     return False, None
 
@@ -257,12 +263,12 @@ class VerifierReport:
 
 
 def _restricted(projector: Projector, vectors: Iterable[CodeVector]) -> list[np.ndarray]:
-    return [_sandwich(projector, pauli_matrix(v.ctx, v.a_coords, v.b_coords)) for v in vectors]
+    return [_restrict(projector, pauli_matrix(v.ctx, v.a_coords, v.b_coords)) for v in vectors]
 
 
 def restricted_logical_ops(projector: Projector) -> list[np.ndarray]:
-    """P V P for lifts V of a basis of dual(X); they generate the restricted
-    logical algebra, which acts only on the logical tensor factor."""
+    """V^dagger l V (K x K) for lifts l of a basis of dual(X); they generate the
+    restricted logical algebra, which acts only on the logical tensor factor."""
     return _restricted(projector, projector.source_code.dual().basis_vectors())
 
 
@@ -273,25 +279,21 @@ def is_subsystem_detectable(
 
     An error is harmless to the encoded information iff its restriction to
     the code space acts as a scalar on the logical factor, equivalently iff
-    P e P commutes with the whole restricted logical algebra.  Scalar action
-    on all of the code space (check_detectable) is the quick special case.
+    V^dagger e V commutes with the whole restricted logical algebra (so does
+    a scalar on all of the code space, the check_detectable case).
     """
-    if check_detectable(projector, error)[0]:
-        return True
     if logical_ops is None:
         logical_ops = restricted_logical_ops(projector)
-    sandwiched = _sandwich(projector, error)
-    return all(_max_abs(sandwiched @ op - op @ sandwiched) <= OPERATOR_TOL for op in logical_ops)
+    restricted = _restrict(projector, error)
+    return all(_max_abs(restricted @ op - op @ restricted) <= OPERATOR_TOL for op in logical_ops)
 
 
 class _Certification:
-    """What the checks share about one code, each part built once."""
+    """What the checks share about one code, each built once: the projector
+    and the distance (the code caches its own hull, dual(hull) and dual)."""
 
     def __init__(self, code: AdditiveCode):
         self.code = code
-        self.hull = code.hull()
-        self.hull_dual = self.hull.dual()
-        self.dual = code.dual()
 
     @cached_property
     def projector(self) -> Projector:
@@ -323,8 +325,7 @@ def _error_chunks(code: AdditiveCode) -> Iterator[tuple[np.ndarray, Iterator[Err
 
 def verify_rank(code: AdditiveCode) -> VerifierReport:
     """Certify rank(P) = q^n/|hull| (build_projector aborts if violated)."""
-    cx = _context(code)
-    projector = cx.projector
+    projector = _context(code).projector
     return VerifierReport(
         check="rank",
         passed=True,
@@ -332,7 +333,7 @@ def verify_rank(code: AdditiveCode) -> VerifierReport:
         details={
             "rank": projector.rank,
             "dim": projector.dim,
-            "hull_size": cx.hull.size,
+            "hull_size": code.hull().size,
             "eigenvalues": [str(v) for v in projector.eigenvalue_choices],
         },
     )
@@ -341,21 +342,21 @@ def verify_rank(code: AdditiveCode) -> VerifierReport:
 def verify_detectability(code: AdditiveCode) -> VerifierReport:
     """Sweep every error vector and compare numerics with the set predicate.
 
-    An error is detectable by the logical subsystem iff P e P commutes with
-    the whole restricted logical algebra (it acts as a scalar on the logical
-    factor); scalar action on the full code space, the check_detectable
-    criterion, is the special case that covers every hull vector.  The
-    predicate side says: the vector lies outside dual(hull(X)) - X.  The
-    sweep also certifies that everything lighter than d is detectable.
+    An error is detectable by the logical subsystem iff its K x K restriction
+    V^dagger e V commutes with the whole restricted logical algebra (it acts
+    as a scalar on the logical factor).  The predicate side says: the vector
+    lies outside dual(hull(X)) - X.  The sweep also certifies that everything
+    lighter than d is detectable.
     """
     cx = _context(code)
     projector = cx.projector
     # Only this check reads them; kept on the context they would outlive it.
     logical_ops = restricted_logical_ops(projector)
+    hull_dual = code.hull().dual()
     mismatches, below_distance_failures = [], []
     total = detectable_count = 0
     for digits, errors in _error_chunks(code):
-        predicted = ~_bulk_membership(digits, cx.hull_dual) | _bulk_membership(digits, code)
+        predicted = ~_bulk_membership(digits, hull_dual) | _bulk_membership(digits, code)
         weights = _bulk_weights(digits, code.ctx.m, code.n, SYMPLECTIC)
         for error, pred, w in zip(errors, predicted.tolist(), weights.tolist()):
             numeric = is_subsystem_detectable(projector, error, logical_ops)
@@ -378,24 +379,22 @@ def verify_detectability(code: AdditiveCode) -> VerifierReport:
 
 
 def _span_dimension(ops: Sequence[np.ndarray]) -> int:
+    """Dimension of the span of K x K operators, one of which is I_K."""
     stack = np.stack([op.reshape(-1) for op in ops])
     singular_values = np.linalg.svd(stack, compute_uv=False)
-    if singular_values.size == 0 or singular_values[0] == 0.0:
-        return 0
     return int((singular_values > SPAN_SV_RTOL * singular_values[0]).sum())
 
 
 def verify_tensor_factorization(code: AdditiveCode) -> VerifierReport:
     """Certify the gauge/logical split of the code space.
 
-    Lifts of X restrict to operators acting only on the gauge factor, lifts
-    of dual(X) only on the logical factor: all cross pairs must commute and
-    the spans must have dimensions (dim B)^2 and (dim A)^2.
+    Lifts of X restrict (V^dagger l V) to operators acting only on the gauge
+    factor, lifts of dual(X) only on the logical factor: all cross pairs
+    must commute and the spans must have dimensions (dim B)^2 and (dim A)^2.
     """
-    cx = _context(code)
-    projector = cx.projector
+    projector = _context(code).projector
     dim_a, dim_b = subsystem_dimensions(code)
-    dual = cx.dual
+    dual = code.dual()
     budget = max_matrix_dim()
     if code.size > budget or dual.size > budget:
         raise CapExceededError(
@@ -434,13 +433,12 @@ def verify_character_support(code: AdditiveCode) -> VerifierReport:
     zero, so the 1e-6 threshold has enormous margin.  The trace is the
     gather-sum Tr(e P) = sum_x phase[x] P[x, target[x]].
     """
-    cx = _context(code)
-    matrix = cx.projector.matrix
-    states = np.arange(cx.projector.dim)
+    matrix = _context(code).projector.matrix
+    states = np.arange(len(matrix))
     mismatches = []
     total = support = 0
     for digits, errors in _error_chunks(code):
-        for error, member in zip(errors, _bulk_membership(digits, cx.hull).tolist()):
+        for error, member in zip(errors, _bulk_membership(digits, code.hull()).tolist()):
             target, phase = error._monomial
             value = complex(phase @ matrix[states, target])
             nonzero = abs(value) > TRACE_TOL
@@ -454,7 +452,7 @@ def verify_character_support(code: AdditiveCode) -> VerifierReport:
         passed=not mismatches,
         witnesses=tuple(mismatches),
         tolerances={"trace": TRACE_TOL},
-        details={"errors_swept": total, "support_size": support, "hull_size": cx.hull.size},
+        details={"errors_swept": total, "support_size": support, "hull_size": code.hull().size},
     )
 
 

@@ -4,8 +4,9 @@ Everything here avoids the library's linear-algebra paths: spans are built
 by enumerating coefficient combinations over plain tuples, duals by scanning
 the whole ambient space against the pairing, weights by direct counting,
 subspace families by enumerating echelon matrices cell by cell, error
-operators as kron chains of per-site matrices, and field arithmetic as
-polynomial arithmetic on digit rows.
+operators as kron chains of per-site matrices, restrictions to the code
+space as dense P e P sandwiches, and field arithmetic as polynomial
+arithmetic on digit rows.
 """
 
 from __future__ import annotations
@@ -233,3 +234,8 @@ def kron_lift(ctx, a, b, phase_exp=0):
         mat = np.kron(mat, _single_x(ctx, ai) @ _single_z(ctx, bi))
     modulus = 2 * ctx.p if ctx.p == 2 else ctx.p
     return mat * np.exp(2j * np.pi * phase_exp / modulus)
+
+
+def sandwich(P, e):
+    """P e P: the dense q^n x q^n restriction of e to the code space of P."""
+    return P @ e @ P

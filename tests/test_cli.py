@@ -118,6 +118,15 @@ def test_exit_code_unknown_verify_check(running_file, capsys):
     assert main(["verify", "-i", running_file, "--checks", "bogus"]) == 4
 
 
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_empty_verify_check_selection_is_a_parse_error(running_file, capsys, checks):
+    assert main(["verify", "-i", running_file, "--checks", checks]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no checks selected; available: rank,detect,tensor,support\n"
+    assert main(["verify", "-i", running_file, "--checks", checks, "--json"]) == 4
+
+
 def test_verify_failure_exits_with_theory_code(running_file, monkeypatch, capsys):
     from oqecc import cli
     from oqecc.verifier import VerifierReport
@@ -169,6 +178,18 @@ def test_search_rejects_a_nonpositive_length(tmp_path, capsys, n):
     argv = ["search", "-p", "2", "-m", "1", "-n", n, "--count", "5", "--seed", "1", "-o", str(out)]
     assert main(argv) == 64
     assert capsys.readouterr().err == "error: n must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["-p", "4", "-m", "1"], "error: p must be prime, got p=4\n"),
+    (["-p", "2", "-m", "7"], "error: q = p^m = 2^7 exceeds the field cap 64; lower m\n"),
+])
+def test_search_rejects_an_invalid_field(tmp_path, capsys, flags, message):
+    out = tmp_path / "log.jsonl"
+    argv = ["search", *flags, "-n", "2", "--count", "5", "--seed", "1", "-o", str(out)]
+    assert main(argv) == 64
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from oqecc.additive_code import AdditiveCode, CodeVector, HERMITIAN, SYMPLECTIC, ambient_vectors, symplectic_form
 from oqecc import code_params, verifier
-from oqecc.code_params import BASIS, UNBOUNDED, min_distance, subsystem_params
+from oqecc.code_params import BASIS, UNBOUNDED, min_distance, subsystem_dimensions, subsystem_params
 from oqecc.errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -21,6 +21,7 @@ from oqecc.verifier import (
     check_detectable,
     is_subsystem_detectable,
     pauli_matrix,
+    restricted_logical_ops,
     run_checks,
     verify_character_support,
     verify_detectability,
@@ -187,6 +188,10 @@ def test_projector_invariants_random(p, m):
         assert np.abs(mat - mat.conj().T).max() <= 1e-9
         assert np.abs(mat @ mat - mat).max() <= 1e-9
         assert projector.rank == ctx.q**n // code.hull().size
+        iso = projector.isometry
+        assert iso.shape == (ctx.q**n, projector.rank)
+        assert np.abs(iso.conj().T @ iso - np.eye(projector.rank)).max() <= verifier.OPERATOR_TOL
+        assert np.abs(iso @ iso.conj().T - mat).max() <= verifier.OPERATOR_TOL
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (5, 1)])
@@ -321,6 +326,93 @@ def test_whole_space_every_error_detectable():
     assert report.details["detectable"] == 4
 
 
+# -- code-space restriction against the dense sandwich oracle -------------------------
+
+
+def _stabilizer_state_code():
+    # Z on both qubits: X is its own hull, |hull| = q^n, so K = 1.
+    return AdditiveCode.from_generators(gf_make(2, 1), 2, SYMPLECTIC, [(0, 0, 1, 0), (0, 0, 0, 1)])
+
+
+def _random_code(p, m, n_max, seed):
+    def make():
+        rng = random.Random(seed)
+        return oracles.random_code(rng, gf_make(p, m), rng.randint(1, n_max))
+    return make
+
+
+_RESTRICTION_CODES = {
+    "hull0": gauge_code,
+    "k1": _stabilizer_state_code,
+    "running": running_code,
+    # Seeds picked for n = n_max and a spread of hull ranks, hull 0 (K = N) included.
+    **{f"q2_{s}": _random_code(2, 1, 3, s) for s in (5, 17, 27)},
+    **{f"q3_{s}": _random_code(3, 1, 2, s) for s in (5, 12)},
+    **{f"gf4_{s}": _random_code(2, 2, 2, s) for s in (5, 12, 16)},
+}
+
+
+def _tensor_oracle(code, P, dim_a, dim_b):
+    """(details, witnesses) of the tensor check from dense P l P sandwiches."""
+    ctx = code.ctx
+
+    def restricted(vectors):
+        return [(v.coords, oracles.sandwich(P, oracles.kron_lift(ctx, v.a_coords, v.b_coords))) for v in vectors]
+
+    def span(ops):
+        singular = np.linalg.svd(np.stack([op.ravel() for _, op in ops]), compute_uv=False)
+        return int((singular > verifier.SPAN_SV_RTOL * singular[0]).sum())
+
+    gauge, logical = restricted(code.vectors()), restricted(code.dual().vectors())
+    witnesses = [{"gauge": g, "logical": l} for g, gop in gauge for l, lop in logical
+                 if np.abs(gop @ lop - lop @ gop).max() > 1e-9]
+    gauge_span, logical_span = span(gauge), span(logical)
+    if gauge_span != dim_b**2 or logical_span != dim_a**2:
+        witnesses.append({"gauge_span": gauge_span, "expected_gauge_span": dim_b**2,
+                          "logical_span": logical_span, "expected_logical_span": dim_a**2})
+    details = {"dim_a": dim_a, "dim_b": dim_b, "gauge_span": gauge_span, "logical_span": logical_span}
+    return details, tuple(witnesses)
+
+
+@pytest.mark.parametrize("make_code", _RESTRICTION_CODES.values(), ids=_RESTRICTION_CODES.keys())
+def test_code_space_restriction_matches_the_sandwich_oracle(make_code, monkeypatch):
+    code = make_code()
+    ctx = code.ctx
+    projector = build_projector(code)
+    P, K = projector.matrix, projector.rank
+    logical = [oracles.sandwich(P, oracles.kron_lift(ctx, v.a_coords, v.b_coords))
+               for v in code.dual().basis_vectors()]
+    logical_ops = restricted_logical_ops(projector)
+    assert all(op.shape == (K, K) for op in logical_ops)
+    outcomes = set()
+    for vec in ambient_vectors(ctx, code.n, SYMPLECTIC):
+        sandwiched = oracles.sandwich(P, oracles.kron_lift(ctx, vec.a_coords, vec.b_coords))
+        lam = complex(np.trace(sandwiched) / K)
+        scalar = bool(np.abs(sandwiched - lam * P).max() <= 1e-9)
+        subsystem = scalar or all(np.abs(sandwiched @ op - op @ sandwiched).max() <= 1e-9 for op in logical)
+        error = pauli_matrix(ctx, vec.a_coords, vec.b_coords)
+        detectable, got = check_detectable(projector, error)
+        assert detectable == scalar, vec
+        if scalar:
+            assert abs(got - lam) <= 1e-9, vec
+        else:
+            assert got is None, vec
+        assert is_subsystem_detectable(projector, error, logical_ops) == subsystem, vec
+        outcomes.add((scalar, subsystem))
+    assert is_subsystem_detectable(projector, error) == subsystem  # builds its own logical ops
+    assert (True, True) in outcomes
+
+    dim_a, dim_b = subsystem_dimensions(code)
+    report = verify_tensor_factorization(code)
+    assert report.passed
+    assert (report.details, report.witnesses) == _tensor_oracle(code, P, dim_a, dim_b)
+    # A wrong expected dim A forces a span witness; both sides must report it alike.
+    monkeypatch.setattr(verifier, "subsystem_dimensions", lambda c: (dim_a + 1, dim_b))
+    forced = verify_tensor_factorization(code)
+    assert not forced.passed
+    assert (forced.details, forced.witnesses) == _tensor_oracle(code, P, dim_a + 1, dim_b)
+
+
 # -- tensor factorization ------------------------------------------------------------
 
 
@@ -419,14 +511,14 @@ def _per_vector_sweeps(code, member=lambda vec, subspace: vec in subspace):
     P = projector.matrix
     hull = code.hull()
     hull_dual = hull.dual()
-    logical = [P @ oracles.kron_lift(ctx, v.a_coords, v.b_coords) @ P for v in code.dual().basis_vectors()]
+    logical = [oracles.sandwich(P, oracles.kron_lift(ctx, v.a_coords, v.b_coords)) for v in code.dual().basis_vectors()]
     d = min_distance(code, method=BASIS)
     mismatches, light, detectable, total = [], [], 0, 0
     support_mismatches, support = [], 0
     for vec in ambient_vectors(ctx, code.n, SYMPLECTIC):
         total += 1
         error = oracles.kron_lift(ctx, vec.a_coords, vec.b_coords)
-        sandwiched = P @ error @ P
+        sandwiched = oracles.sandwich(P, error)
         lam = np.trace(sandwiched) / projector.rank
         numeric = bool(
             np.abs(sandwiched - lam * P).max() <= 1e-9
