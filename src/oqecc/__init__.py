@@ -49,7 +49,6 @@ from .verifier import (
     Projector,
     VerifierReport,
     build_projector,
-    check_detectable,
     is_subsystem_detectable,
     pauli_matrix,
     restricted_logical_ops,

@@ -116,10 +116,7 @@ class CodeVector:
 
     def encoding_index(self) -> int:
         """The vector as one little-endian base-p integer; fixes tie-breaks."""
-        value = 0
-        for d in reversed(self.to_digits().tolist()):
-            value = value * self.ctx.p + d
-        return value
+        return _undigits(self.to_digits().tolist(), self.ctx.p)
 
     def __repr__(self) -> str:
         if self.layout == SYMPLECTIC:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .additive_code import AdditiveCode, CodeVector, HERMITIAN, SYMPLECTIC
 from .errors import CapExceededError, ZeroCodeError
+from .galois import _undigits
 
 EXHAUSTIVE = "exhaustive"
 BASIS = "basis"
@@ -75,29 +76,17 @@ def _bulk_membership(digits: np.ndarray, code: AdditiveCode) -> np.ndarray:
     return ~(((digits @ check.T) % code.ctx.p).any(axis=1))
 
 
-def _index_digits(indices: np.ndarray, p: int, width: int) -> np.ndarray:
-    """Little-endian base-p digit rows of the given encoding indices."""
-    out = np.empty((indices.size, width), dtype=np.int64)
-    rest = indices.copy()
-    for j in range(width):
-        out[:, j] = rest % p
-        rest //= p
-    return out
-
-
 def _digit_chunks(p: int, width: int) -> Iterator[np.ndarray]:
-    """Digit rows of all p^width vectors in encoding order, _CHUNK rows at a time."""
+    """Little-endian base-p digit rows of all p^width vectors in encoding
+    order, _CHUNK rows at a time."""
     total = p**width
     for start in range(0, total, _CHUNK):
-        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield _index_digits(indices, p, width)
-
-
-def _encoding_key(row, p: int) -> int:
-    value = 0
-    for d in reversed(list(row)):
-        value = value * p + int(d)
-    return value
+        rest = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        digits = np.empty((rest.size, width), dtype=np.int64)
+        for j in range(width):
+            digits[:, j] = rest % p
+            rest //= p
+        yield digits
 
 
 def _distance_scan(code: AdditiveCode, method: str) -> tuple[int | float, CodeVector | None]:
@@ -138,7 +127,7 @@ def _distance_scan(code: AdditiveCode, method: str) -> tuple[int | float, CodeVe
                 rel = int(np.argmax(weights == w))
                 best_w = w
                 best_digits = digits[in_diff][rel].copy()
-                best_key = _encoding_key(best_digits, p)
+                best_key = _undigits(best_digits.tolist(), p)
     else:
         basis = hull_dual.basis
         rank = hull_dual.rank
@@ -158,7 +147,7 @@ def _distance_scan(code: AdditiveCode, method: str) -> tuple[int | float, CodeVe
             if best_w is not None and w > best_w:
                 continue
             at_min = candidates[weights == w]
-            key, row = min((_encoding_key(r, p), tuple(r)) for r in at_min)
+            key, row = min((_undigits(r, p), tuple(r)) for r in at_min.tolist())
             if best_w is None or w < best_w or key < best_key:
                 best_w, best_key, best_digits = w, key, np.array(row, dtype=np.int64)
 

@@ -85,6 +85,8 @@ def parse_code_file(path: str | os.PathLike) -> AdditiveCode:
             obj = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:  # a ValueError, which the CLI reads as a usage error
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return code_from_json(obj, source=str(path))
 
 

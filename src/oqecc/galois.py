@@ -34,6 +34,12 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def _exceeds_field_cap(p: int, m: int) -> bool:
+    """p^m > MAX_FIELD_SIZE (p >= 2, m >= 1) without building a huge p^m.  Callers
+    run _is_prime only on p <= MAX_FIELD_SIZE: its trial division is endless on a huge p."""
+    return p > MAX_FIELD_SIZE or m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE
+
+
 def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
     """Base-p digits of value, least significant first, padded to width."""
     out = []
@@ -158,13 +164,13 @@ class GfContext:
 
     def __init__(self, p: int, m: int):
         p, m = operator.index(p), operator.index(m)
-        if not _is_prime(p):
+        if p <= MAX_FIELD_SIZE and not _is_prime(p):
             raise NotPrimeError(f"p={p} is not prime")
         if m < 1:
             raise ValueError(f"extension degree m={m} must be >= 1")
+        if _exceeds_field_cap(p, m):
+            raise FieldTooLargeError(f"q = {p}^{m} exceeds the cap {MAX_FIELD_SIZE}")
         q = p**m
-        if q > MAX_FIELD_SIZE:
-            raise FieldTooLargeError(f"q = {p}^{m} = {q} exceeds the cap {MAX_FIELD_SIZE}")
 
         self.p, self.m, self.q, self.q2 = p, m, q, q * q
         self._base = base = _Field(p, m)

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .additive_code import AdditiveCode, SYMPLECTIC, digit_columns
 from .code_params import BASIS, UNBOUNDED, _distance_json, subsystem_params
-from .galois import MAX_FIELD_SIZE, _is_prime, gf_make
+from .galois import MAX_FIELD_SIZE, _exceeds_field_cap, _is_prime, gf_make
 
 
 def _draw_candidate(rng: random.Random, p: int, cols: int) -> list[list[int]]:
@@ -56,9 +56,9 @@ def search_records(
     p: int, m: int, n: int, count: int, seed: int, jobs: int = 1
 ) -> list[dict]:
     """Evaluate `count` seeded candidates; deduplicated, in draw order."""
-    if not _is_prime(p):
+    if p <= MAX_FIELD_SIZE and not _is_prime(p):
         raise ValueError(f"p must be prime, got p={p}")
-    if p**m > MAX_FIELD_SIZE:
+    if m >= 1 and _exceeds_field_cap(p, m):  # gf_make reports m < 1
         raise ValueError(f"q = p^m = {p}^{m} exceeds the field cap {MAX_FIELD_SIZE}; lower m")
     if n < 1:
         raise ValueError("n must be >= 1")

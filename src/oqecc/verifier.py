@@ -10,8 +10,11 @@ commuting eigenspace projectors of the lifted hull generators, one chosen
 eigenvalue each; the orthonormal columns of its isometry V span the
 K-dimensional code space, on which a lift l restricts to V^dagger l V (K x K).
 run_checks builds one context per code (projector, minimum distance) that
-every check reads; the error sweeps take set membership in bulk by encoding
-index.  The checks certify, entirely numerically:
+every check reads.  The detect and support sweeps build no lift per error:
+at one a, the lifts X(a)Z(b) differ only by the character omega^tr(b.x), so
+one product with the character table of F_q^n gives all their values; set
+membership is taken in bulk by encoding index.  The checks certify, entirely
+numerically:
 
   * rank(P) = K = q^n / |hull(X)|,
   * an error is subsystem-detectable exactly when its vector is outside
@@ -234,20 +237,6 @@ def _restrict(projector: Projector, error: ErrorOperator) -> np.ndarray:
     return isometry[target].conj().T @ (phase[:, None] * isometry)
 
 
-def check_detectable(projector: Projector, error: ErrorOperator) -> tuple[bool, complex | None]:
-    """Whether V^dagger e V = lambda I_K, with lambda = Tr(V^dagger e V)/K when it holds.
-
-    This is the code-subspace criterion; gauge errors that merely act inside
-    the co-subsystem fail it without harming the encoded information (see
-    verify_detectability).
-    """
-    restricted = _restrict(projector, error)
-    lam = complex(np.trace(restricted) / projector.rank)
-    if _max_abs(restricted - lam * np.eye(projector.rank)) <= OPERATOR_TOL:
-        return True, lam
-    return False, None
-
-
 @dataclass(frozen=True)
 class VerifierReport:
     """Outcome of one certification check; failing reports carry witnesses."""
@@ -280,7 +269,7 @@ def is_subsystem_detectable(
     An error is harmless to the encoded information iff its restriction to
     the code space acts as a scalar on the logical factor, equivalently iff
     V^dagger e V commutes with the whole restricted logical algebra (so does
-    a scalar on all of the code space, the check_detectable case).
+    a scalar on all of the code space).
     """
     if logical_ops is None:
         logical_ops = restricted_logical_ops(projector)
@@ -313,14 +302,28 @@ def _context(code: AdditiveCode) -> _Certification:
     return bound if bound is not None and bound.code is code else _Certification(code)
 
 
-def _error_chunks(code: AdditiveCode) -> Iterator[tuple[np.ndarray, Iterator[ErrorOperator]]]:
-    """Digit rows and lifts of every error vector (a|b), a chunk at a time in
-    encoding order; the lifts are made one by one as they are consumed."""
-    ctx, n = code.ctx, code.n
+def _error_sweep(code: AdditiveCode, values_at) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Digit rows of every error vector (a|b) with the value of X(a)Z(b), a chunk
+    at a time in encoding order.  values_at(shift[a], chi) gives the values at a
+    for every b, from shift[a, x] = index of x + a and chi[b, x] = omega^tr(b.x),
+    folded like ErrorOperator._monomial (first coordinate most significant);
+    reversing the 2n coordinate axes of the stacked [a, b] array gives encoding order."""
+    ctx, n, q = code.ctx, code.n, code.ctx.q
+    shift = chi = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(n):
+        shift = (shift[:, None, :, None] * q + ctx.add_table[:, None]).reshape(q * len(shift), -1)
+        chi = (chi[:, None, :, None] + ctx.trace_mul_table[:, None]).reshape(q * len(chi), -1)
+    chi = np.exp(2j * np.pi * (chi % ctx.p) / ctx.p)
+    values = np.stack([values_at(row, chi) for row in shift])
+    del shift, chi  # q^n x q^n each; the chunks below need only the values
+    values = values.reshape((q,) * (2 * n)).transpose(range(2 * n - 1, -1, -1)).reshape(-1)
     for digits in _digit_chunks(ctx.p, code.num_columns):
-        coords = digits.reshape(len(digits), 2 * n, ctx.m) @ ctx.p ** np.arange(ctx.m)
-        rows = map(np.ndarray.tolist, coords)
-        yield digits, (ErrorOperator(ctx, row[:n], row[n:]) for row in rows)
+        yield digits, values[:len(digits)]
+        values = values[len(digits):]
+
+
+def _vector(code: AdditiveCode, digits: np.ndarray) -> tuple[int, ...]:
+    return CodeVector.from_digits(code.ctx, SYMPLECTIC, digits).coords
 
 
 def verify_rank(code: AdditiveCode) -> VerifierReport:
@@ -343,30 +346,36 @@ def verify_detectability(code: AdditiveCode) -> VerifierReport:
     """Sweep every error vector and compare numerics with the set predicate.
 
     An error is detectable by the logical subsystem iff its K x K restriction
-    V^dagger e V commutes with the whole restricted logical algebra (it acts
-    as a scalar on the logical factor).  The predicate side says: the vector
-    lies outside dual(hull(X)) - X.  The sweep also certifies that everything
-    lighter than d is detectable.
+    V^dagger e V commutes with the whole restricted logical algebra; at one a
+    those of all X(a)Z(b) are sum_x chi[b, x] conj(V[x+a]) (x) V[x], tested
+    against one logical generator after another until one fails.  The
+    predicate side says: the vector lies outside dual(hull(X)) - X.  The sweep
+    also certifies that everything lighter than d is detectable.
     """
     cx = _context(code)
-    projector = cx.projector
+    isometry = cx.projector.isometry
     # Only this check reads them; kept on the context they would outlive it.
-    logical_ops = restricted_logical_ops(projector)
-    hull_dual = code.hull().dual()
+    logical_ops = restricted_logical_ops(cx.projector)
+
+    def detectable_at(shift: np.ndarray, chi: np.ndarray) -> np.ndarray:
+        pairs = isometry[shift].conj()[:, :, None] * isometry[:, None, :]
+        restricted = (chi @ pairs.reshape(len(chi), -1)).reshape(pairs.shape)
+        alive = np.arange(len(chi))
+        for op in logical_ops:
+            keep = np.abs(restricted @ op - op @ restricted).max(axis=(1, 2)) <= OPERATOR_TOL
+            restricted, alive = restricted[keep], alive[keep]
+        return np.isin(np.arange(len(chi)), alive)
+
     mismatches, below_distance_failures = [], []
     total = detectable_count = 0
-    for digits, errors in _error_chunks(code):
-        predicted = ~_bulk_membership(digits, hull_dual) | _bulk_membership(digits, code)
+    for digits, numeric in _error_sweep(code, detectable_at):
+        predicted = ~_bulk_membership(digits, code.hull().dual()) | _bulk_membership(digits, code)
         weights = _bulk_weights(digits, code.ctx.m, code.n, SYMPLECTIC)
-        for error, pred, w in zip(errors, predicted.tolist(), weights.tolist()):
-            numeric = is_subsystem_detectable(projector, error, logical_ops)
-            vec = error.a + error.b
-            if numeric != pred:
-                mismatches.append({"vector": vec, "numeric": numeric, "predicted": pred})
-            if numeric:
-                detectable_count += 1
-            if w < cx.distance and not numeric:
-                below_distance_failures.append({"vector": vec, "swt": w})
+        mismatches += [{"vector": _vector(code, digits[i]), "numeric": bool(numeric[i]),
+                        "predicted": bool(predicted[i])} for i in np.flatnonzero(numeric != predicted)]
+        below_distance_failures += [{"vector": _vector(code, digits[i]), "swt": int(weights[i])}
+                                    for i in np.flatnonzero((weights < cx.distance) & ~numeric)]
+        detectable_count += int(numeric.sum())
         total += len(digits)
 
     return VerifierReport(
@@ -430,22 +439,20 @@ def verify_character_support(code: AdditiveCode) -> VerifierReport:
     """Certify that Tr(e P) is nonzero exactly on lifts of hull vectors.
 
     For a hull vector the magnitude is exactly q^n/|hull|, otherwise exactly
-    zero, so the 1e-6 threshold has enormous margin.  The trace is the
-    gather-sum Tr(e P) = sum_x phase[x] P[x, target[x]].
+    zero, so the 1e-6 threshold has enormous margin.  For one a, the traces
+    of all X(a)Z(b) are one character transform,
+    Tr(X(a)Z(b) P) = sum_x chi[b, x] P[x, x+a].
     """
     matrix = _context(code).projector.matrix
     states = np.arange(len(matrix))
     mismatches = []
     total = support = 0
-    for digits, errors in _error_chunks(code):
-        for error, member in zip(errors, _bulk_membership(digits, code.hull()).tolist()):
-            target, phase = error._monomial
-            value = complex(phase @ matrix[states, target])
-            nonzero = abs(value) > TRACE_TOL
-            if nonzero:
-                support += 1
-            if nonzero != member:
-                mismatches.append({"vector": error.a + error.b, "trace": value, "in_hull": member})
+    for digits, traces in _error_sweep(code, lambda shift, chi: chi @ matrix[states, shift]):
+        nonzero = np.abs(traces) > TRACE_TOL
+        member = _bulk_membership(digits, code.hull())
+        mismatches += [{"vector": _vector(code, digits[i]), "trace": complex(traces[i]),
+                        "in_hull": bool(member[i])} for i in np.flatnonzero(nonzero != member)]
+        support += int(nonzero.sum())
         total += len(digits)
     return VerifierReport(
         check="support",

@@ -6,7 +6,9 @@ the whole ambient space against the pairing, weights by direct counting,
 subspace families by enumerating echelon matrices cell by cell, error
 operators as kron chains of per-site matrices, restrictions to the code
 space as dense P e P sandwiches, and field arithmetic as polynomial
-arithmetic on digit rows.
+arithmetic on digit rows.  The one exception is check_detectable, the
+code-subspace test lambda I_K that the verifier itself no longer runs: it
+reads the library's K x K restriction, which the sandwich tests check.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import random
 
 import numpy as np
 
+from oqecc import verifier
 from oqecc.additive_code import AdditiveCode, SYMPLECTIC
 
 
@@ -239,3 +242,16 @@ def kron_lift(ctx, a, b, phase_exp=0):
 def sandwich(P, e):
     """P e P: the dense q^n x q^n restriction of e to the code space of P."""
     return P @ e @ P
+
+
+def check_detectable(projector, error):
+    """Whether V^dagger e V = lambda I_K, with lambda = Tr(V^dagger e V)/K when it holds.
+
+    This is the code-subspace criterion; gauge errors that merely act inside
+    the co-subsystem fail it without harming the encoded information (see
+    verifier.verify_detectability)."""
+    restricted = verifier._restrict(projector, error)
+    lam = complex(np.trace(restricted) / projector.rank)
+    if np.abs(restricted - lam * np.eye(projector.rank)).max() <= verifier.OPERATOR_TOL:
+        return True, lam
+    return False, None

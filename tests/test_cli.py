@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,25 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert main(["params", "-i", str(missing)]) == 1  # io error
 
 
+def test_a_code_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + RUNNING.encode("utf-16-le"))
+    assert main(["params", "-i", str(path)]) == 4
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize("field", [{"p": 2**61 - 1, "m": 1}, {"p": 2, "m": 10**9}], ids=["huge_p", "huge_m"])
+def test_a_huge_field_in_a_code_file_is_refused_at_once(tmp_path, capsys, field):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**field, "n": 1, "layout": "symplectic", "generators": [[1, 0]]}))
+    start = time.perf_counter()
+    assert main(["params", "-i", str(path)]) == 4
+    assert time.perf_counter() - start < 2
+    p, m = field["p"], field["m"]
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid field parameters p={p}, m={m}: q = {p}^{m} exceeds the cap 64\n")
+
+
 def test_exit_code_invalid_encoding(tmp_path, capsys):
     path = tmp_path / "enc.json"
     path.write_text('{"p":2,"m":1,"n":2,"layout":"symplectic","generators":[[2,0,0,0]]}')
@@ -184,11 +204,16 @@ def test_search_rejects_a_nonpositive_length(tmp_path, capsys, n):
 @pytest.mark.parametrize("flags,message", [
     (["-p", "4", "-m", "1"], "error: p must be prime, got p=4\n"),
     (["-p", "2", "-m", "7"], "error: q = p^m = 2^7 exceeds the field cap 64; lower m\n"),
+    (["-p", str(2**61 - 1), "-m", "1"],
+     f"error: q = p^m = {2**61 - 1}^1 exceeds the field cap 64; lower m\n"),
+    (["-p", "2", "-m", str(10**9)], f"error: q = p^m = 2^{10**9} exceeds the field cap 64; lower m\n"),
 ])
 def test_search_rejects_an_invalid_field(tmp_path, capsys, flags, message):
     out = tmp_path / "log.jsonl"
     argv = ["search", *flags, "-n", "2", "--count", "5", "--seed", "1", "-o", str(out)]
+    start = time.perf_counter()
     assert main(argv) == 64
+    assert time.perf_counter() - start < 2  # no trial division of a huge p, no huge p^m
     assert capsys.readouterr().err == message
     assert not out.exists()
 

@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from oracles import check_detectable
 from oqecc.additive_code import AdditiveCode, CodeVector, HERMITIAN, SYMPLECTIC, ambient_vectors, symplectic_form
 from oqecc import code_params, verifier
 from oqecc.code_params import BASIS, UNBOUNDED, min_distance, subsystem_dimensions, subsystem_params
@@ -18,7 +20,6 @@ from oqecc.galois import gf_make
 from oqecc.verifier import (
     VerifierReport,
     build_projector,
-    check_detectable,
     is_subsystem_detectable,
     pauli_matrix,
     restricted_logical_ops,
@@ -564,6 +565,51 @@ def test_sweeps_match_the_per_vector_oracle(make_code, monkeypatch):
     assert detect.passed and support.passed
     assert (detect.details, detect.witnesses) == (detect_details, detect_witnesses)
     assert (support.details, support.witnesses) == (support_details, support_witnesses)
+
+
+# (p, m, largest n): q^n up to 16, so the per-error oracle stays quick.
+_PROPERTY_FIELDS = [(2, 1, 3), (3, 1, 2), (2, 2, 2)]
+
+
+@st.composite
+def _small_codes(draw):
+    p, m, top = draw(st.sampled_from(_PROPERTY_FIELDS))
+    n = draw(st.integers(1, top))
+    cols = 2 * n * m
+    row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+    code = AdditiveCode.from_digit_rows(gf_make(p, m), n, SYMPLECTIC, draw(st.lists(row, min_size=1, max_size=cols)))
+    assume(not code.is_zero())
+    return code
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(code=_small_codes())
+def test_transform_sweeps_equal_the_per_error_oracle(code):
+    (detect_details, detect_witnesses), (support_details, support_witnesses) = _per_vector_sweeps(code)
+    detect = verify_detectability(code)
+    support = verify_character_support(code)
+    assert (detect.details, detect.witnesses) == (detect_details, detect_witnesses)
+    assert support.details == support_details
+    _assert_same_support_witnesses(support.witnesses, support_witnesses)
+
+
+def test_sweeps_build_no_lift_per_error(monkeypatch):
+    code = _gf4_code()
+    projector = build_projector(code)
+    monkeypatch.setattr(verifier, "build_projector", lambda c: projector)
+    built = []
+    real_init = verifier.ErrorOperator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(verifier.ErrorOperator, "__init__", counting)
+    assert verify_detectability(code).passed
+    assert len(built) == code.dual().rank  # the lifts behind restricted_logical_ops
+    built.clear()
+    assert verify_character_support(code).passed
+    assert built == []
 
 
 def _y_code():
