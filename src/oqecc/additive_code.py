@@ -240,10 +240,8 @@ def _phi_tables(ctx: GfContext) -> _PhiTables:
 
 def phi_map(c: CodeVector) -> CodeVector:
     """Coordinate-wise beta*a_i + beta^q*b_i, from (a|b) to F_{q^2}^n."""
-    c._require(SYMPLECTIC)
     tables = _phi_tables(c.ctx).forward
-    n = c.n
-    coords = tuple(tables[(c.coords[i], c.coords[n + i])] for i in range(n))
+    coords = tuple(tables[pair] for pair in zip(c.a_coords, c.b_coords))
     return CodeVector(c.ctx, HERMITIAN, coords)
 
 
@@ -377,13 +375,9 @@ class AdditiveCode:
         layout's form.  Sizes satisfy |X| * |dual(X)| = p^(2nm)."""
         cached = self._cache.get("dual")
         if cached is None:
-            gram = _gram(self.ctx, self.n, self.layout)
-            if self.rank == 0:
-                cached = AdditiveCode.whole(self.ctx, self.n, self.layout)
-            else:
-                paired = (self.basis @ gram) % self.ctx.p
-                kernel = _linalg.nullspace(paired, self.ctx.p)
-                cached = AdditiveCode(self.ctx, self.n, self.layout, kernel)
+            paired = (self.basis @ _gram(self.ctx, self.n, self.layout)) % self.ctx.p
+            kernel = _linalg.nullspace(paired, self.ctx.p)  # the identity for the zero code
+            cached = AdditiveCode(self.ctx, self.n, self.layout, kernel)
             self._cache["dual"] = cached
         return cached
 

@@ -10,12 +10,15 @@ Hamming weight.  When dual(Y) = X the difference is empty and the distance
 is reported as the UNBOUNDED sentinel (math.inf).
 
 Two independent enumeration strategies are provided and must agree:
-"exhaustive" sweeps the whole ambient space, "basis" walks dual(Y) through
-its F_p basis.  Witnesses tie-break by smallest encoding index.
+"exhaustive" sweeps the ambient space by increasing weight, testing each
+vector with parity checks and stopping after the first weight with a hit;
+"basis" walks dual(Y) through its F_p basis.  Witnesses tie-break by
+smallest encoding index.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,19 +46,13 @@ def _distance_json(d: int | float) -> int | str:
 
 def swt(c: CodeVector) -> int:
     """Symplectic weight: positions i where (a_i, b_i) != (0, 0)."""
-    c._require(SYMPLECTIC)
-    n = c.n
-    return sum(1 for i in range(n) if c.coords[i] or c.coords[n + i])
+    return sum(1 for a, b in zip(c.a_coords, c.b_coords) if a or b)
 
 
 def hamming_wt(v: CodeVector) -> int:
     """Hamming weight of a Hermitian-layout word."""
     v._require(HERMITIAN)
     return sum(1 for x in v.coords if x)
-
-
-def weight(v: CodeVector) -> int:
-    return swt(v) if v.layout == SYMPLECTIC else hamming_wt(v)
 
 
 def _bulk_weights(digits: np.ndarray, m: int, n: int, layout: str) -> np.ndarray:
@@ -94,9 +91,7 @@ def _distance_scan(code: AdditiveCode, method: str) -> tuple[int | float, CodeVe
         raise ValueError(f"unknown distance method {method!r}; use one of {METHODS}")
     if code.is_zero():
         raise ZeroCodeError("minimum distance needs a nonzero code")
-    ctx = code.ctx
-    p = ctx.p
-    cols = code.num_columns
+    ctx, p, cols = code.ctx, code.ctx.p, code.num_columns
     hull_dual = code.hull().dual()
     # The two descriptions of the scanned set must coincide.
     assert code.code_sum(code.dual()) == hull_dual, "X + dual(X) != dual(hull(X))"
@@ -105,30 +100,35 @@ def _distance_scan(code: AdditiveCode, method: str) -> tuple[int | float, CodeVe
     if hull_dual.rank == code.rank:
         return UNBOUNDED, None
 
-    best_w: int | None = None
-    best_key: int | None = None
-    best_digits = None
-
     if method == EXHAUSTIVE:
-        total = p**cols
-        if total > ENUMERATION_CAP:
-            raise CapExceededError(
-                f"exhaustive enumeration of p^{cols} = {total} vectors exceeds {ENUMERATION_CAP}"
-            )
-        for digits in _digit_chunks(p, cols):
-            in_diff = _bulk_membership(digits, hull_dual) & ~_bulk_membership(digits, code)
-            if not in_diff.any():
-                continue
-            weights = _bulk_weights(digits[in_diff], ctx.m, code.n, code.layout)
-            w = int(weights.min())
-            if best_w is None or w < best_w:
-                # Enumeration order equals encoding order, so the first hit
-                # at this weight already has the smallest key.
-                rel = int(np.argmax(weights == w))
-                best_w = w
-                best_digits = digits[in_diff][rel].copy()
-                best_key = _undigits(best_digits.tolist(), p)
+        # By weight w = 1, 2, ...: each support of w positions (lexicographic) with each
+        # tuple of nonzero symbols, picked by the w base-(q^2 - 1) digits of its index;
+        # position i owns the 2m digit columns of a_i and b_i, or of coordinate i.
+        n, width = code.n, 2 * ctx.m
+        halves = 2 if code.layout == SYMPLECTIC else 1
+        columns = np.arange(cols).reshape(halves, n, -1).transpose(1, 0, 2).reshape(n, width)
+        symbols = (np.arange(1, p**width)[:, None] // p ** np.arange(width)) % p
+        block = max(1, min(_CHUNK, _CHUNK * 24 // cols))  # rows; wide codes get fewer
+        for w in range(1, n + 1):
+            tuples = len(symbols) ** w
+            swept = sum(math.comb(n, v) * len(symbols) ** v for v in range(1, w + 1))
+            if swept > ENUMERATION_CAP:
+                raise CapExceededError(
+                    f"exhaustive sweep through weight {w} ({swept} vectors) exceeds {ENUMERATION_CAP}")
+            supports = columns[list(itertools.combinations(range(n), w))].reshape(-1, w * width)
+            least = []  # the least-key hit of each block
+            for start in range(0, len(supports) * tuples, block):
+                index = np.arange(start, min(start + block, len(supports) * tuples))
+                picks = (index % tuples)[:, None] // len(symbols) ** np.arange(w) % len(symbols)
+                values = symbols[picks].reshape(len(index), -1)
+                rows = np.zeros((len(index), cols), dtype=np.int64)
+                np.put_along_axis(rows, supports[index // tuples], values, axis=1)
+                hits = rows[_bulk_membership(rows, hull_dual) & ~_bulk_membership(rows, code)]
+                least += hits[np.lexsort(hits.T)[:1]].tolist()  # last column most significant
+            if least:
+                return w, CodeVector.from_digits(ctx, code.layout, min(least, key=lambda r: r[::-1]))
     else:
+        best_w = best_key = best_digits = None
         basis = hull_dual.basis
         rank = hull_dual.rank
         total = p**rank
@@ -236,16 +236,6 @@ def subsystem_params(code: AdditiveCode, distance_method: str = EXHAUSTIVE) -> S
     ex, ey = code.rank, code.hull().rank
     k = Fraction(n * m - (ex + ey) // 2, m)
     r = Fraction((ex - ey) // 2, m)
-    return SubsystemParams(
-        n=n,
-        q=ctx.q,
-        x=p**ex,
-        y=p**ey,
-        dim_a=dim_a,
-        dim_b=dim_b,
-        dim_c=dim_a * dim_b,
-        k=k,
-        r=r,
-        d=min_distance(code, distance_method),
-        distance_method=distance_method,
-    )
+    return SubsystemParams(n=n, q=ctx.q, x=p**ex, y=p**ey, dim_a=dim_a, dim_b=dim_b,
+                           dim_c=dim_a * dim_b, k=k, r=r, d=min_distance(code, distance_method),
+                           distance_method=distance_method)

@@ -59,7 +59,8 @@ def search_records(
     if p <= MAX_FIELD_SIZE and not _is_prime(p):
         raise ValueError(f"p must be prime, got p={p}")
     if m >= 1 and _exceeds_field_cap(p, m):  # gf_make reports m < 1
-        raise ValueError(f"q = p^m = {p}^{m} exceeds the field cap {MAX_FIELD_SIZE}; lower m")
+        lower = "p" if p > MAX_FIELD_SIZE else "m"
+        raise ValueError(f"q = p^m = {p}^{m} exceeds the field cap {MAX_FIELD_SIZE}; lower {lower}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 1:

@@ -25,6 +25,7 @@ numerically:
 
 Dense matrices are capped at q^n <= 4096 by default; the OQECC_MAX_DIM
 environment variable, a positive integer, raises the cap for the patient.
+detect, which holds about 64 q^n K^2 bytes at a time, refuses above 2 GiB.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import (CapExceededError, DimensionMismatchError, LayoutMismatchErr
 from .galois import GfContext
 
 DEFAULT_MAX_DIM = 4096
+DETECT_BYTES_CAP = 2 << 30
 OPERATOR_TOL = 1e-9
 TRACE_TOL = 1e-6
 SPAN_SV_RTOL = 1e-7
@@ -71,6 +73,16 @@ def _check_dim(ctx: GfContext, n: int) -> int:
     if dim > cap:
         raise CapExceededError(f"q^n = {dim} exceeds the matrix cap {cap}")
     return dim
+
+
+def _check_detect_budget(code: AdditiveCode) -> None:
+    """Refuse detect before the projector is built when its working set per a,
+    about 64 q^n K^2 bytes with K = q^n/|hull|, exceeds DETECT_BYTES_CAP."""
+    dim_a, dim_b = subsystem_dimensions(code)
+    dim, k = _check_dim(code.ctx, code.n), dim_a * dim_b
+    if 64 * dim * k * k > DETECT_BYTES_CAP:
+        raise CapExceededError(f"detect would hold about {64 * dim * k * k} bytes per a (64 q^n K^2 "
+                               f"with q^n = {dim}, K = {k}), over its cap {DETECT_BYTES_CAP}")
 
 
 class ErrorOperator:
@@ -352,6 +364,7 @@ def verify_detectability(code: AdditiveCode) -> VerifierReport:
     predicate side says: the vector lies outside dual(hull(X)) - X.  The sweep
     also certifies that everything lighter than d is detectable.
     """
+    _check_detect_budget(code)
     cx = _context(code)
     isometry = cx.projector.isometry
     # Only this check reads them; kept on the context they would outlive it.
@@ -478,6 +491,8 @@ def run_checks(code: AdditiveCode, checks: Sequence[str] = ALL_CHECKS) -> list[V
     unknown = [c for c in checks if c not in _CHECK_FUNCTIONS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {list(ALL_CHECKS)}")
+    if "detect" in checks:
+        _check_detect_budget(code)
     token = _bound.set(_Certification(code))
     try:
         return [_CHECK_FUNCTIONS[c](code) for c in ALL_CHECKS if c in checks]

@@ -6,9 +6,11 @@ the whole ambient space against the pairing, weights by direct counting,
 subspace families by enumerating echelon matrices cell by cell, error
 operators as kron chains of per-site matrices, restrictions to the code
 space as dense P e P sandwiches, and field arithmetic as polynomial
-arithmetic on digit rows.  The one exception is check_detectable, the
-code-subspace test lambda I_K that the verifier itself no longer runs: it
-reads the library's K x K restriction, which the sandwich tests check.
+arithmetic on digit rows.  Two exceptions read the library: check_detectable,
+the code-subspace test lambda I_K that the verifier itself no longer runs,
+reads its K x K restriction, which the sandwich tests check; and
+full_scan_distance, the whole-ambient-space scan the exhaustive distance
+method replaced, reads its parity checks, which the brute duals check.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import random
 
 import numpy as np
 
-from oqecc import verifier
-from oqecc.additive_code import AdditiveCode, SYMPLECTIC
+from oqecc import code_params, verifier
+from oqecc.additive_code import AdditiveCode, CodeVector, SYMPLECTIC
 
 
 class PolyField:
@@ -183,6 +185,26 @@ def brute_min_distance(ctx, n, layout, x_set):
     return brute_weight(layout, best), best
 
 
+def full_scan_distance(code):
+    """(d, witness) over dual(hull) - X from a parity-check test of every one
+    of the p^(2nm) ambient vectors, in encoding order, so the first hit at the
+    least weight has the least key; (UNBOUNDED, None) when there is no hit."""
+    p, hull_dual = code.ctx.p, code.hull().dual()
+    best = None
+    for digits in code_params._digit_chunks(p, code.num_columns):
+        hits = digits[code_params._bulk_membership(digits, hull_dual)
+                      & ~code_params._bulk_membership(digits, code)]
+        if not len(hits):
+            continue
+        weights = code_params._bulk_weights(hits, code.ctx.m, code.n, code.layout)
+        w = int(weights.min())
+        if best is None or w < best[0]:
+            best = w, hits[np.argmax(weights == w)]
+    if best is None:
+        return code_params.UNBOUNDED, None
+    return best[0], CodeVector.from_digits(code.ctx, code.layout, best[1])
+
+
 def echelon_bases(p, cols):
     """Every subspace of F_p^cols exactly once, as echelon basis row tuples."""
     yield ()
@@ -211,6 +233,16 @@ def random_code(rng: random.Random, ctx, n, layout=SYMPLECTIC, nonzero=True):
         code = AdditiveCode.from_digit_rows(ctx, n, layout, rows)
         if not (nonzero and code.is_zero()):
             return code
+
+
+def bacon_shor(ctx, rows, cols):
+    """Bacon-Shor on a rows x cols grid (qubit cols*r + c) from its gauge
+    generators: XX on vertical neighbours (a half), ZZ on horizontal ones (b half)."""
+    n = rows * cols
+    pairs = [(i, i + cols, 0) for i in range(n - cols)]
+    pairs += [(i, i + 1, n) for i in range(n) if i % cols < cols - 1]
+    gens = [tuple(int(c in (i + half, j + half)) for c in range(2 * n)) for i, j, half in pairs]
+    return AdditiveCode.from_generators(ctx, n, SYMPLECTIC, gens)
 
 
 def code_vector_set(code: AdditiveCode) -> set:

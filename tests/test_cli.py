@@ -95,10 +95,12 @@ def test_exit_code_zero_code(tmp_path, capsys):
 
 
 def test_exit_code_cap_exceeded(tmp_path, capsys):
+    # dual(hull) has 2^25 vectors, over the basis cap; the exhaustive sweep
+    # answers this d = 1 code (its own refusal: test_exhaustive_cap_counts_the_sweep).
     gens = [[1] + [0] * 25]
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": 2, "m": 1, "n": 13, "layout": "symplectic", "generators": gens}))
-    assert main(["mindist", "-i", str(path)]) == 3
+    assert main(["mindist", "-i", str(path), "--method", "basis"]) == 3
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -205,7 +207,7 @@ def test_search_rejects_a_nonpositive_length(tmp_path, capsys, n):
     (["-p", "4", "-m", "1"], "error: p must be prime, got p=4\n"),
     (["-p", "2", "-m", "7"], "error: q = p^m = 2^7 exceeds the field cap 64; lower m\n"),
     (["-p", str(2**61 - 1), "-m", "1"],
-     f"error: q = p^m = {2**61 - 1}^1 exceeds the field cap 64; lower m\n"),
+     f"error: q = p^m = {2**61 - 1}^1 exceeds the field cap 64; lower p\n"),
     (["-p", "2", "-m", str(10**9)], f"error: q = p^m = 2^{10**9} exceeds the field cap 64; lower m\n"),
 ])
 def test_search_rejects_an_invalid_field(tmp_path, capsys, flags, message):

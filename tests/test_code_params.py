@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from oqecc import code_params
 from oqecc.additive_code import AdditiveCode, CodeVector, HERMITIAN, SYMPLECTIC, ambient_vectors, phi_map
 from oqecc.code_params import (
     BASIS,
@@ -15,6 +18,8 @@ from oqecc.code_params import (
     subsystem_params,
     swt,
 )
+from oqecc.cli import main
+from oqecc.codefile import emit_code_file
 from oqecc.errors import CapExceededError, LayoutMismatchError, ZeroCodeError
 from oqecc.galois import gf_make
 
@@ -244,16 +249,95 @@ def test_detection_radius_property():
 
 def test_enumeration_caps():
     # A single self-orthogonal generator in a 2^26 ambient space: the hull
-    # dual has 2^25 elements, over the cap for both strategies.
+    # dual has 2^25 elements, over the basis cap, but d = 1, so the
+    # weight-ordered sweep stops after the 39 vectors of weight 1.
     ctx = gf_make(2, 1)
     big = AdditiveCode.from_generators(ctx, 13, SYMPLECTIC, [tuple([1] + [0] * 25)])
-    with pytest.raises(CapExceededError):
-        min_distance(big, method=EXHAUSTIVE)
+    d, witness = min_distance_with_witness(big, method=EXHAUSTIVE)
+    assert d == 1 and swt(witness) == 1
+    assert witness in big.hull().dual() and witness not in big
     with pytest.raises(CapExceededError):
         min_distance(big, method=BASIS)
     # The degenerate whole space never enumerates, so no cap applies.
     whole = AdditiveCode.whole(ctx, 13, SYMPLECTIC)
     assert min_distance(whole, method=BASIS) == UNBOUNDED
+
+
+def test_exhaustive_sweep_stops_after_the_first_weight_with_a_hit(monkeypatch):
+    code = oracles.bacon_shor(gf_make(2, 1), 3, 3)  # [[9,1,4,3]]_2
+    swept = []
+    real = code_params._bulk_membership
+    monkeypatch.setattr(code_params, "_bulk_membership",
+                        lambda rows, c: swept.append(len(rows)) or real(rows, c))
+    d, witness = min_distance_with_witness(code, method=EXHAUSTIVE)
+    # Two membership tests per block; weights 1, 2 and 3 of 9 qubits.
+    assert sum(swept) == 2 * sum(math.comb(9, w) * 3**w for w in (1, 2, 3)) == 2 * 2619
+    assert d == 3 and witness.coords == (1, 1, 1) + (0,) * 15
+    assert (d, witness) == oracles.full_scan_distance(code)
+
+
+def test_exhaustive_cap_counts_the_sweep(monkeypatch, tmp_path, capsys):
+    # 27 vectors of weight 1, then 27 + 36 * 9 = 351 through weight 2.
+    monkeypatch.setattr(code_params, "ENUMERATION_CAP", 100)
+    code = oracles.bacon_shor(gf_make(2, 1), 3, 3)  # [[9,1,4,3]]_2
+    with pytest.raises(CapExceededError, match=r"weight 2 \(351 vectors\) exceeds 100"):
+        min_distance(code, method=EXHAUSTIVE)
+    path = tmp_path / "bacon_shor.json"
+    emit_code_file(code, path)
+    assert main(["params", "-i", str(path)]) == 3
+    assert "351" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+def test_exhaustive_blocks_of_any_size_give_the_same_witness(monkeypatch, p, m):
+    # With 5-row blocks a support's value tuples span several blocks (and
+    # several supports share a block at weight 1 over GF(2)).
+    monkeypatch.setattr(code_params, "_CHUNK", 5)
+    ctx = gf_make(p, m)
+    rng = random.Random(17 + p * m)
+    for _ in range(10):
+        code = oracles.random_code(rng, ctx, rng.randint(1, 3), rng.choice([SYMPLECTIC, HERMITIAN]))
+        assert min_distance_with_witness(code, EXHAUSTIVE) == oracles.full_scan_distance(code)
+
+
+def test_exhaustive_blocks_of_a_wide_code_stay_small(monkeypatch):
+    # n = 13, so 26 digit columns: 4-row blocks would hold more digits than
+    # the 4 * 24 budget, so the 39 weight-1 vectors go 3 rows at a time.
+    monkeypatch.setattr(code_params, "_CHUNK", 4)
+    sizes = []
+    real = code_params._bulk_membership
+    monkeypatch.setattr(code_params, "_bulk_membership",
+                        lambda rows, c: sizes.append(rows.shape) or real(rows, c))
+    big = AdditiveCode.from_generators(gf_make(2, 1), 13, SYMPLECTIC, [tuple([1] + [0] * 25)])
+    assert min_distance(big, method=EXHAUSTIVE) == 1
+    assert max(sizes) == (3, 26) and sum(rows for rows, _ in sizes) == 2 * 39
+
+
+@st.composite
+def _distance_codes(draw):
+    p, m, top = draw(st.sampled_from([(2, 1, 4), (3, 1, 3), (2, 2, 3)]))
+    n = draw(st.integers(1, top))
+    cols = 2 * n * m
+    row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+    layout = draw(st.sampled_from([SYMPLECTIC, HERMITIAN]))
+    code = AdditiveCode.from_digit_rows(gf_make(p, m), n, layout, draw(st.lists(row, min_size=1, max_size=cols)))
+    assume(not code.is_zero())
+    return code
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(code=_distance_codes())
+@example(code=AdditiveCode.whole(gf_make(3, 1), 2, HERMITIAN))
+@example(code=AdditiveCode.from_generators(gf_make(2, 1), 1, SYMPLECTIC, [(1, 1)]))
+def test_weight_ordered_sweep_equals_the_full_scan_and_the_basis_walk(code):
+    d, witness = min_distance_with_witness(code, method=EXHAUSTIVE)
+    assert (d, witness) == oracles.full_scan_distance(code)
+    assert d == min_distance(code, method=BASIS)
+    if d == UNBOUNDED:
+        assert witness is None and code.hull().dual() == code
+    else:
+        assert oracles.brute_weight(code.layout, witness.coords) == d
+        assert witness in code.hull().dual() and witness not in code
 
 
 def test_unknown_method_rejected():

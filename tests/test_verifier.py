@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import oracles
 from oracles import check_detectable
 from oqecc.additive_code import AdditiveCode, CodeVector, HERMITIAN, SYMPLECTIC, ambient_vectors, symplectic_form
 from oqecc import code_params, verifier
+from oqecc.cli import main
+from oqecc.codefile import emit_code_file
 from oqecc.code_params import BASIS, UNBOUNDED, min_distance, subsystem_dimensions, subsystem_params
 from oqecc.errors import (
     CapExceededError,
@@ -154,6 +157,42 @@ def test_matrix_cap_env_override(monkeypatch):
         pauli_matrix(ctx, (0,) * 4, (0,) * 4)
     monkeypatch.setenv("OQECC_MAX_DIM", "16")
     assert pauli_matrix(ctx, (0,) * 4, (0,) * 4).realization.shape == (16, 16)
+
+
+def test_detect_refuses_its_working_set_before_building_the_projector(monkeypatch, tmp_path, capsys):
+    def never(code):
+        raise AssertionError("the projector was built")
+
+    monkeypatch.setattr(verifier, "build_projector", never)
+    code = oracles.bacon_shor(gf_make(2, 1), 3, 4)  # q^n = 4096, K = 128
+    message = (r"about 4294967296 bytes per a \(64 q\^n K\^2 with q\^n = 4096, K = 128\), "
+               r"over its cap 2147483648")
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=message):
+        run_checks(code, ["rank", "detect"])
+    with pytest.raises(CapExceededError, match=message):
+        verify_detectability(code)
+    path = tmp_path / "bacon_shor_3x4.json"
+    emit_code_file(code, path)
+    assert main(["verify", "-i", str(path), "--checks", "detect"]) == 3
+    assert "4294967296" in capsys.readouterr().err
+    assert time.perf_counter() - start < 2
+
+
+def test_detect_budget_boundary(monkeypatch):
+    # The running example: q^n = 4, K = 2, so 64 * 4 * 2^2 = 1024 bytes.
+    monkeypatch.setattr(verifier, "DETECT_BYTES_CAP", 1023)
+    with pytest.raises(CapExceededError, match="about 1024 bytes"):
+        verify_detectability(running_code())
+    assert [r.check for r in run_checks(running_code(), ["rank", "support"])] == ["rank", "support"]
+    monkeypatch.setattr(verifier, "DETECT_BYTES_CAP", 1024)
+    assert verify_detectability(running_code()).passed
+
+
+def test_over_cap_files_keep_the_matrix_cap_message():
+    big = AdditiveCode.from_generators(gf_make(2, 1), 13, SYMPLECTIC, [tuple([1] + [0] * 25)])
+    with pytest.raises(CapExceededError, match="q\\^n = 8192 exceeds the matrix cap 4096"):
+        run_checks(big, ["detect"])
 
 
 # -- projector -------------------------------------------------------------------
