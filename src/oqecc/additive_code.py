@@ -211,6 +211,22 @@ def _gram(ctx: GfContext, n: int, layout: str) -> np.ndarray:
     return gram
 
 
+def stacked_duality(ctx: GfContext, n: int, layout: str, codes: np.ndarray) -> tuple:
+    """dual(X), hull(X) and dual(hull(X)) for a (B, rows, cols) stack of
+    codes X given by RREF rows (zero rows pad), each as a padded RREF stack
+    with its (B,) ranks.
+
+    With G the Gram matrix of the form, dual(X) = ker(X G) and the hull is
+    ker(X G X^T) X: the combinations of X's rows that pair to zero with X.
+    """
+    p, gram = ctx.p, _gram(ctx, n, layout)
+    paired = codes @ gram % p
+    duals = _linalg.nullspace(paired, p)
+    kernels, _ = _linalg.nullspace(paired @ codes.transpose(0, 2, 1) % p, p)
+    hulls = _linalg.rref(kernels @ codes % p, p)
+    return duals, hulls, _linalg.nullspace(hulls[0] @ gram % p, p)
+
+
 # -- the layout isometry -----------------------------------------------------
 
 

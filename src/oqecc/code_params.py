@@ -28,7 +28,6 @@ import numpy as np
 
 from .additive_code import AdditiveCode, CodeVector, HERMITIAN, SYMPLECTIC
 from .errors import CapExceededError, ZeroCodeError
-from .galois import _undigits
 
 EXHAUSTIVE = "exhaustive"
 BASIS = "basis"
@@ -37,6 +36,7 @@ METHODS = (EXHAUSTIVE, BASIS)
 UNBOUNDED = math.inf
 ENUMERATION_CAP = 1 << 24
 _CHUNK = 1 << 15
+_WALK_BYTES = 1 << 20
 
 
 def _distance_json(d: int | float) -> int | str:
@@ -56,13 +56,19 @@ def hamming_wt(v: CodeVector) -> int:
 
 
 def _bulk_weights(digits: np.ndarray, m: int, n: int, layout: str) -> np.ndarray:
-    """Weights of many digit rows at once (rows are coordinate-major)."""
+    """Weights of many digit rows at once (rows are coordinate-major, along
+    the last axis), in the least unsigned type that holds n + 1."""
+    lead = digits.shape[:-1]
+    coords = digits.reshape(lead + (-1, m if layout == SYMPLECTIC else 2 * m))
+    active = coords[..., 0] != 0
+    for j in range(1, coords.shape[-1]):
+        active |= coords[..., j] != 0
     if layout == SYMPLECTIC:
-        per_coord = digits.reshape(len(digits), 2 * n, m).any(axis=2)
-        active = per_coord[:, :n] | per_coord[:, n:]
-    else:
-        active = digits.reshape(len(digits), n, 2 * m).any(axis=2)
-    return active.sum(axis=1)
+        active = active[..., :n] | active[..., n:]
+    weights = active[..., 0].astype(np.min_scalar_type(n + 1))
+    for i in range(1, n):
+        weights += active[..., i]
+    return weights
 
 
 def _bulk_membership(digits: np.ndarray, code: AdditiveCode) -> np.ndarray:
@@ -84,6 +90,106 @@ def _digit_chunks(p: int, width: int) -> Iterator[np.ndarray]:
             digits[:, j] = rest % p
             rest //= p
         yield digits
+
+
+def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a + b mod p for int8 digit arrays (p <= 61, so the sum fits)."""
+    total = a + b
+    total -= p * (total >= p).view(np.int8)
+    return total
+
+
+def _span(rows: np.ndarray, p: int) -> np.ndarray:
+    """Every F_p combination of the j rows of each basis in a (B, j, C)
+    stack, first row least significant: (B, p^j, C) int8 digits."""
+    out = np.zeros((len(rows), 1, rows.shape[2]), dtype=np.int8)
+    for j in range(rows.shape[1]):
+        multiples = (np.arange(p)[:, None] * rows[:, j, None, :] % p).astype(np.int8)
+        out = _add_mod(out[:, None], multiples[:, :, None], p).reshape(len(rows), -1, rows.shape[2])
+    return out
+
+
+def _leads(stack: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Pivot column of each row of a stack of RREFs; cols for padding rows."""
+    held = np.arange(stack.shape[1]) < ranks[:, None]
+    return np.where(held, (stack != 0).argmax(axis=2), stack.shape[2])
+
+
+def _walk_group(bases: np.ndarray, inside: np.ndarray, p: int, m: int, n: int, layout: str,
+                witness: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Least weight, and its least-key vector if asked, over span(bases[b])
+    outside the span of its first inside[b] rows, for a (B, k, C) stack.
+
+    Coefficient vectors are walked in order, first row least significant, so
+    index i lies in the span of the first inside[b] rows iff i < p^inside[b].
+    The low rows are spanned once; each chunk adds one combination of the
+    high rows to all of them.
+    """
+    low = 0
+    while low < bases.shape[1] and p ** (low + 1) <= _CHUNK:
+        low += 1
+    inner, outer = _span(bases[:, :low], p), _span(bases[:, low:], p)
+    size, limit = inner.shape[1], p ** inside
+    best = np.full(len(bases), n + 1)
+    best_rows = np.zeros(bases.shape[::2], dtype=np.int8)
+    for o in range(outer.shape[1]):
+        live = np.flatnonzero(limit < (o + 1) * size)  # codes with rows outside X here
+        if not live.size:
+            continue
+        rows = _add_mod(inner[live], outer[live, o, None], p)
+        weights = _bulk_weights(rows, m, n, layout)
+        weights[o * size + np.arange(size) < limit[live, None]] = n + 1
+        least = weights.min(axis=1)
+        if not witness:
+            best[live] = np.minimum(best[live], least)
+            continue
+        for j, b in enumerate(live):
+            if least[j] <= best[b]:
+                ties = rows[j][weights[j] == least[j]]
+                if least[j] == best[b]:
+                    ties = np.vstack([ties, best_rows[b]])
+                best[b], best_rows[b] = least[j], ties[np.lexsort(ties.T)[0]]
+    return best, best_rows
+
+
+def _basis_walk(codes: np.ndarray, ranks: np.ndarray, hull_duals: np.ndarray,
+                dual_ranks: np.ndarray, p: int, m: int, n: int, layout: str,
+                witness: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The basis-method distance of each code X of a stack, from the RREF
+    stacks of X and of dual(hull(X)) and their ranks.
+
+    dual(hull) is walked through the rows of X followed by the rows of its
+    own RREF whose pivot columns X lacks (X's pivots are among them, since X
+    lies inside), so the vectors outside X are the combinations that use a
+    row beyond X's.  Codes are walked in groups of one rank of dual(hull),
+    each group split so its digit chunks stay near _WALK_BYTES.  Returns
+    the distances (UNBOUNDED where dual(hull) = X) and, if asked, a
+    least-key witness row per code.
+    """
+    distances = np.full(len(codes), UNBOUNDED)
+    witnesses = np.zeros(hull_duals.shape[::2], dtype=np.int8)
+    bounded = dual_ranks > ranks
+    for rank in dual_ranks[bounded]:
+        if p ** int(rank) > ENUMERATION_CAP:
+            raise CapExceededError(
+                f"basis enumeration of p^{rank} = {p ** int(rank)} vectors exceeds {ENUMERATION_CAP}")
+    cols = codes.shape[2]
+    code_leads, dual_leads = _leads(codes, ranks), _leads(hull_duals, dual_ranks)
+    taken = np.zeros((len(codes), cols + 1), dtype=bool)
+    np.put_along_axis(taken, code_leads, True, axis=1)
+    keep = np.concatenate([code_leads < cols, ~np.take_along_axis(taken, dual_leads, axis=1)
+                           & (dual_leads < cols)], axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")
+    bases = np.take_along_axis(np.concatenate([codes, hull_duals], axis=1), order[:, :, None], axis=1)
+    for rank in np.unique(dual_ranks[bounded]):
+        group = np.flatnonzero(bounded & (dual_ranks == rank))
+        # Per walked row: its int8 digits, plus its weight, masks and temporaries.
+        per = max(1, _WALK_BYTES // (min(p**rank, _CHUNK) * (cols + 16)))
+        for start in range(0, len(group), per):
+            part = group[start:start + per]
+            best, rows = _walk_group(bases[part, :rank], ranks[part], p, m, n, layout, witness)
+            distances[part], witnesses[part] = best, rows
+    return distances, witnesses
 
 
 def _distance_scan(code: AdditiveCode, method: str) -> tuple[int | float, CodeVector | None]:
@@ -127,33 +233,12 @@ def _distance_scan(code: AdditiveCode, method: str) -> tuple[int | float, CodeVe
                 least += hits[np.lexsort(hits.T)[:1]].tolist()  # last column most significant
             if least:
                 return w, CodeVector.from_digits(ctx, code.layout, min(least, key=lambda r: r[::-1]))
+        raise AssertionError("difference set was nonempty but nothing was found")
     else:
-        best_w = best_key = best_digits = None
-        basis = hull_dual.basis
-        rank = hull_dual.rank
-        total = p**rank
-        if total > ENUMERATION_CAP:
-            raise CapExceededError(
-                f"basis enumeration of p^{rank} = {total} vectors exceeds {ENUMERATION_CAP}"
-            )
-        for coeffs in _digit_chunks(p, rank):
-            digits = (coeffs @ basis) % p
-            outside = ~_bulk_membership(digits, code)
-            if not outside.any():
-                continue
-            candidates = digits[outside]
-            weights = _bulk_weights(candidates, ctx.m, code.n, code.layout)
-            w = int(weights.min())
-            if best_w is not None and w > best_w:
-                continue
-            at_min = candidates[weights == w]
-            key, row = min((_undigits(r, p), tuple(r)) for r in at_min.tolist())
-            if best_w is None or w < best_w or key < best_key:
-                best_w, best_key, best_digits = w, key, np.array(row, dtype=np.int64)
-
-    assert best_digits is not None, "difference set was nonempty but nothing was found"
-    witness = CodeVector.from_digits(ctx, code.layout, best_digits)
-    return best_w, witness
+        (d,), (row,) = _basis_walk(code.basis[None], np.array([code.rank]), hull_dual.basis[None],
+                                   np.array([hull_dual.rank]), p, ctx.m, code.n, code.layout,
+                                   witness=True)
+        return int(d), CodeVector.from_digits(ctx, code.layout, row)
 
 
 def min_distance(code: AdditiveCode, method: str = EXHAUSTIVE) -> int | float:
@@ -208,6 +293,16 @@ class SubsystemParams:
         return (Fraction(self.n) - self.r, self.k, self.d)
 
 
+def _dimensions(ctx, n: int, ex: int, ey: int) -> tuple[int, int]:
+    p, m = ctx.p, ctx.m
+    assert (ex - ey) % 2 == 0, "odd |X|/|Y| exponent; the form tables are broken"
+    assert ex + ey <= 2 * n * m, "hull is larger than the dual allows"
+    dim_b = p ** ((ex - ey) // 2)
+    dim_a = p ** (n * m - (ex + ey) // 2)
+    assert dim_a * dim_b == ctx.q**n // p**ey
+    return dim_a, dim_b
+
+
 def subsystem_dimensions(code: AdditiveCode) -> tuple[int, int]:
     """(dim A, dim B) from the hull ranks alone, no distance computation.
 
@@ -217,25 +312,21 @@ def subsystem_dimensions(code: AdditiveCode) -> tuple[int, int]:
     """
     if code.is_zero():
         raise ZeroCodeError("subsystem dimensions need a nonzero code")
-    ctx = code.ctx
-    p, m, n = ctx.p, ctx.m, code.n
-    ex, ey = code.rank, code.hull().rank
-    assert (ex - ey) % 2 == 0, "odd |X|/|Y| exponent; the form tables are broken"
-    assert ex + ey <= 2 * n * m, "hull is larger than the dual allows"
-    dim_b = p ** ((ex - ey) // 2)
-    dim_a = p ** (n * m - (ex + ey) // 2)
-    assert dim_a * dim_b == ctx.q**n // p**ey
-    return dim_a, dim_b
+    return _dimensions(code.ctx, code.n, code.rank, code.hull().rank)
+
+
+def params_from_ranks(ctx, n: int, ex: int, ey: int, d: int | float,
+                      distance_method: str) -> SubsystemParams:
+    """The parameters of a nonzero code of F_p rank ex whose hull has rank ey."""
+    dim_a, dim_b = _dimensions(ctx, n, ex, ey)
+    p, m = ctx.p, ctx.m
+    return SubsystemParams(n=n, q=ctx.q, x=p**ex, y=p**ey, dim_a=dim_a, dim_b=dim_b,
+                           dim_c=dim_a * dim_b, k=Fraction(n * m - (ex + ey) // 2, m),
+                           r=Fraction((ex - ey) // 2, m), d=d, distance_method=distance_method)
 
 
 def subsystem_params(code: AdditiveCode, distance_method: str = EXHAUSTIVE) -> SubsystemParams:
     """Exact parameters of the subsystem code attached to a nonzero code."""
-    dim_a, dim_b = subsystem_dimensions(code)
-    ctx = code.ctx
-    p, m, n = ctx.p, ctx.m, code.n
-    ex, ey = code.rank, code.hull().rank
-    k = Fraction(n * m - (ex + ey) // 2, m)
-    r = Fraction((ex - ey) // 2, m)
-    return SubsystemParams(n=n, q=ctx.q, x=p**ex, y=p**ey, dim_a=dim_a, dim_b=dim_b,
-                           dim_c=dim_a * dim_b, k=k, r=r, d=min_distance(code, distance_method),
-                           distance_method=distance_method)
+    subsystem_dimensions(code)  # refuses the zero code before any distance work
+    return params_from_ranks(code.ctx, code.n, code.rank, code.hull().rank,
+                             min_distance(code, distance_method), distance_method)

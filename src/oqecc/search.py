@@ -1,10 +1,14 @@
 """Seedable random search for good subsystem codes.
 
 Candidates are uniform random F_p generator matrices with a random rank
-target, canonicalized and deduplicated within a run.  Every surviving
-candidate becomes one JSON line; for a fixed seed the output file is
-byte-identical across runs and across worker counts, because all randomness
-is drawn up front and evaluation is an exact pure function of the draw.
+target, drawn from one rng in draw order.  The draws are streamed a block
+at a time: each block is reduced to canonical form as one stack, zero spans
+and spans already seen in the run are dropped (the first occurrence in draw
+order stays), and the survivors are evaluated together as stacks.  Blocks
+are sized by their working set in bytes, so memory stays bounded in the
+count.  Every surviving candidate becomes one JSON line; for a fixed seed
+the output file is byte-identical across runs and across worker counts,
+because evaluation is an exact pure function of the block.
 
 Each record stores the canonical generator matrix, the parameters
 (n, k, r, d), and the (n - r, k, d) footprint a plain stabilizer code would
@@ -13,15 +17,30 @@ need for the same job, which is the fair point of comparison.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Iterator
 
-from .additive_code import AdditiveCode, SYMPLECTIC, digit_columns
-from .code_params import BASIS, UNBOUNDED, _distance_json, subsystem_params
+import numpy as np
+
+from . import _linalg
+from .additive_code import SYMPLECTIC, digit_columns, stacked_duality
+from .code_params import BASIS, UNBOUNDED, _basis_walk, _distance_json, params_from_ranks
 from .galois import MAX_FIELD_SIZE, _exceeds_field_cap, _is_prime, gf_make
+
+# The (2 cols, cols) int64 stacks a candidate occupies in a block, summed
+# over the block, stay near this; the distance walk keeps to its own bound.
+BLOCK_BYTES = 1 << 20
+
+
+def _block_size(cols: int) -> int:
+    return max(1, BLOCK_BYTES // (128 * cols * cols))
 
 
 def _draw_candidate(rng: random.Random, p: int, cols: int) -> list[list[int]]:
@@ -29,33 +48,74 @@ def _draw_candidate(rng: random.Random, p: int, cols: int) -> list[list[int]]:
     return [[rng.randrange(p) for _ in range(cols)] for _ in range(rank_target)]
 
 
-def _evaluate_candidate(payload: tuple) -> dict | None:
-    """Pure evaluation of one drawn candidate; None for the zero span."""
-    index, seed, p, m, n, rows = payload
-    ctx = gf_make(p, m)
-    code = AdditiveCode.from_digit_rows(ctx, n, SYMPLECTIC, rows)
-    if code.is_zero():
-        return None
-    params = subsystem_params(code, distance_method=BASIS)
+def _blocks(p: int, m: int, n: int, count: int, seed: int, size: int) -> Iterator[tuple]:
+    """The canonical new spans of each block of `size` draws, in draw order."""
+    cols = digit_columns(gf_make(p, m), n)
+    rng = random.Random(seed)
+    seen: set[bytes] = set()
+    for start in range(0, count, size):
+        stack = np.zeros((min(size, count - start), cols - 1, cols), dtype=np.int64)
+        for rows in stack:
+            draw = _draw_candidate(rng, p, cols)
+            rows[: len(draw)] = draw
+        reduced, ranks = _linalg.rref(stack, p)
+        keep = []
+        for i, rank in enumerate(ranks.tolist()):
+            key = reduced[i, :rank].tobytes()
+            if rank and key not in seen:
+                seen.add(key)
+                keep.append(i)
+        if keep:
+            top = int(ranks[keep].max())
+            yield [start + i for i in keep], seed, p, m, n, reduced[keep, :top], ranks[keep]
+
+
+def _evaluate_candidate(block: tuple) -> list[dict]:
+    """The records of one block of distinct, nonzero canonical spans X: the
+    duality stacks of the block, then one basis walk of dual(hull) per rank."""
+    indices, seed, p, m, n, codes, ranks = block
+    (duals, _), (_, hull_ranks), (hull_duals, dual_ranks) = stacked_duality(
+        gf_make(p, m), n, SYMPLECTIC, codes)
+    sums, _ = _linalg.rref(np.concatenate([codes, duals], axis=1), p)
+    # The two descriptions of the walked set must coincide.
+    assert np.array_equal(sums[:, :hull_duals.shape[1]], hull_duals), "X + dual(X) != dual(hull(X))"
+    distances, _ = _basis_walk(codes, ranks, hull_duals, dual_ranks, p, m, n, SYMPLECTIC)
+    weights = p ** np.arange(m)
+    records = []
+    for index, code, ex, ey, d in zip(indices, codes, ranks.tolist(), hull_ranks.tolist(),
+                                      distances.tolist()):
+        params, stabilizer_key = _summary(p, m, n, ex, ey, UNBOUNDED if math.isinf(d) else int(d))
+        records.append({
+            "index": index,
+            "seed": seed,
+            "p": p,
+            "m": m,
+            "n": n,
+            "layout": SYMPLECTIC,
+            "generators": (code[:ex].reshape(ex, 2 * n, m) @ weights).tolist(),
+            "params": dict(params),
+            "distance_method": BASIS,
+            "stabilizer_key": list(stabilizer_key),
+        })
+    return records
+
+
+@lru_cache(maxsize=None)
+def _summary(p: int, m: int, n: int, ex: int, ey: int, d: int | float) -> tuple[dict, list]:
+    """The params JSON and stabilizer key of every code with these ranks and d."""
+    params = params_from_ranks(gf_make(p, m), n, ex, ey, d, BASIS)
     n_minus_r, k, _ = params.stabilizer_comparison_key()
-    return {
-        "index": index,
-        "seed": seed,
-        "p": p,
-        "m": m,
-        "n": n,
-        "layout": SYMPLECTIC,
-        "generators": [list(row) for row in code.generator_rows()],
-        "params": params.to_json(),
-        "distance_method": params.distance_method,
-        "stabilizer_key": [str(n_minus_r), str(k), _distance_json(params.d)],
-    }
+    return params.to_json(), [str(n_minus_r), str(k), _distance_json(d)]
 
 
 def search_records(
     p: int, m: int, n: int, count: int, seed: int, jobs: int = 1
 ) -> list[dict]:
-    """Evaluate `count` seeded candidates; deduplicated, in draw order."""
+    """Evaluate `count` seeded candidates; deduplicated, in draw order.
+
+    With jobs > 1 the blocks go to min(jobs, CPUs, blocks) worker processes,
+    a few blocks per worker at a time; the records are the same for any jobs.
+    """
     if p <= MAX_FIELD_SIZE and not _is_prime(p):
         raise ValueError(f"p must be prime, got p={p}")
     if m >= 1 and _exceeds_field_cap(p, m):  # gf_make reports m < 1
@@ -67,30 +127,17 @@ def search_records(
         raise ValueError("count must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    ctx = gf_make(p, m)
-    cols = digit_columns(ctx, n)
-    rng = random.Random(seed)
-    payloads = [(i, seed, p, m, n, _draw_candidate(rng, p, cols)) for i in range(count)]
-
-    if jobs == 1:
-        evaluated: Iterable[dict | None] = map(_evaluate_candidate, payloads)
-    else:
-        executor = ProcessPoolExecutor(max_workers=jobs)
-        try:
-            evaluated = list(executor.map(_evaluate_candidate, payloads, chunksize=64))
-        finally:
-            executor.shutdown()
-
+    size = _block_size(digit_columns(gf_make(p, m), n))
+    blocks = _blocks(p, m, n, count, seed, size)
+    workers = min(jobs, os.cpu_count() or 1, -(-count // size))
+    if workers == 1:
+        evaluated: Iterable[list[dict]] = map(_evaluate_candidate, blocks)
+        return [record for block in evaluated for record in block]
     records = []
-    seen: set[tuple] = set()
-    for record in evaluated:
-        if record is None:
-            continue
-        key = tuple(tuple(row) for row in record["generators"])
-        if key in seen:
-            continue
-        seen.add(key)
-        records.append(record)
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        while window := list(itertools.islice(blocks, 2 * workers)):
+            for block in executor.map(_evaluate_candidate, window):
+                records += block
     return records
 
 
@@ -102,12 +149,15 @@ def write_records(records: list[dict], out_path: str) -> None:
             handle.write("\n")
 
 
+_fraction = lru_cache(maxsize=None)(Fraction)  # k and r take few values
+
+
 def pareto_summary(records: list[dict]) -> dict[tuple[Fraction, Fraction], int | float]:
     """Best distance found per (k, r) cell."""
     best: dict[tuple[Fraction, Fraction], int | float] = {}
     for record in records:
         params = record["params"]
-        cell = (Fraction(params["k"]), Fraction(params["r"]))
+        cell = (_fraction(params["k"]), _fraction(params["r"]))
         d = UNBOUNDED if params["d"] == "unbounded" else params["d"]
         if cell not in best or d > best[cell]:
             best[cell] = d

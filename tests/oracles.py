@@ -5,12 +5,16 @@ by enumerating coefficient combinations over plain tuples, duals by scanning
 the whole ambient space against the pairing, weights by direct counting,
 subspace families by enumerating echelon matrices cell by cell, error
 operators as kron chains of per-site matrices, restrictions to the code
-space as dense P e P sandwiches, and field arithmetic as polynomial
-arithmetic on digit rows.  Two exceptions read the library: check_detectable,
-the code-subspace test lambda I_K that the verifier itself no longer runs,
-reads its K x K restriction, which the sandwich tests check; and
+space as dense P e P sandwiches, field arithmetic as polynomial
+arithmetic on digit rows, and row reduction as a scalar loop over one
+matrix's rows (scalar_rref, scalar_nullspace), the loop the library's
+stacked elimination replaced.  Three exceptions read the library:
+check_detectable, the code-subspace test lambda I_K that the verifier itself
+no longer runs, reads its K x K restriction, which the sandwich tests check;
 full_scan_distance, the whole-ambient-space scan the exhaustive distance
-method replaced, reads its parity checks, which the brute duals check.
+method replaced, reads its parity checks, which the brute duals check; and
+candidate_record, the per-candidate search evaluation that block evaluation
+replaced, builds one code object and its parameters per draw.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 from oqecc import code_params, verifier
 from oqecc.additive_code import AdditiveCode, CodeVector, SYMPLECTIC
+from oqecc.code_params import BASIS, _distance_json, subsystem_params
 
 
 class PolyField:
@@ -203,6 +208,67 @@ def full_scan_distance(code):
     if best is None:
         return code_params.UNBOUNDED, None
     return best[0], CodeVector.from_digits(code.ctx, code.layout, best[1])
+
+
+def scalar_rref(mat, p):
+    """RREF over F_p of one matrix by a row loop: (nonzero rows, pivot columns).
+    The library eliminates whole stacks of matrices at once instead."""
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(a[r:, c])[0]
+        if hits.size == 0:
+            continue
+        pivot = r + int(hits[0])
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], tuple(pivots)
+
+
+def scalar_nullspace(mat, p):
+    """RREF basis of the right kernel of one matrix, from scalar_rref."""
+    mat = np.asarray(mat, dtype=np.int64)
+    cols = mat.shape[1]
+    red, pivots = scalar_rref(mat, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for row, pc in zip(red, pivots):
+            basis[i, pc] = (-row[f]) % p
+    return scalar_rref(basis, p)[0]
+
+
+def candidate_record(index, seed, ctx, n, rows):
+    """One search record from its own code object, or None for the zero span:
+    the per-candidate evaluation the search replaced by block evaluation."""
+    code = AdditiveCode.from_digit_rows(ctx, n, SYMPLECTIC, rows)
+    if code.is_zero():
+        return None
+    params = subsystem_params(code, distance_method=BASIS)
+    n_minus_r, k, _ = params.stabilizer_comparison_key()
+    return {
+        "index": index,
+        "seed": seed,
+        "p": ctx.p,
+        "m": ctx.m,
+        "n": n,
+        "layout": SYMPLECTIC,
+        "generators": [list(row) for row in code.generator_rows()],
+        "params": params.to_json(),
+        "distance_method": params.distance_method,
+        "stabilizer_key": [str(n_minus_r), str(k), _distance_json(params.d)],
+    }
 
 
 def echelon_bases(p, cols):

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from oqecc import _linalg
 from oqecc.additive_code import (
     AdditiveCode,
     CodeVector,
@@ -12,6 +14,7 @@ from oqecc.additive_code import (
     ambient_vectors,
     phi_inverse,
     phi_map,
+    stacked_duality,
     symplectic_form,
     trace_alternating_form,
 )
@@ -249,6 +252,49 @@ def test_dual_involution_and_size_pairing(p, m):
         dual = code.dual()
         assert code.size * dual.size == p ** (2 * n * m)
         assert dual.dual() == code
+
+
+@st.composite
+def _code_stacks(draw):
+    """One to three codes of one shape (any rank, zero included) in either
+    layout; ambient spaces of at most 256 vectors keep the brute duals quick."""
+    p, m, top = draw(st.sampled_from([(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1), (7, 1, 1)]))
+    n = draw(st.integers(1, top))
+    layout = draw(st.sampled_from([SYMPLECTIC, HERMITIAN]))
+    cols = 2 * n * m
+    row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+    codes = [AdditiveCode.from_digit_rows(gf_make(p, m), n, layout, draw(st.lists(row, max_size=cols)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return codes
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(codes=_code_stacks())
+def test_duality_properties_against_the_brute_oracle(codes):
+    ctx, n, layout, p = codes[0].ctx, codes[0].n, codes[0].layout, codes[0].ctx.p
+    cols = codes[0].num_columns
+    stack = np.zeros((len(codes), cols, cols), dtype=np.int64)  # zero rows pad each code
+    for mat, code in zip(stack, codes):
+        mat[: code.rank] = code.basis
+    (duals, dual_ranks), (hulls, hull_ranks), (hull_duals, hull_dual_ranks) = stacked_duality(
+        ctx, n, layout, stack)
+    for b, code in enumerate(codes):
+        dual, hull = code.dual(), code.hull()
+        # |X| |X^perp| = p^(2nm), and X^perp perp = X.
+        assert code.size * dual.size == p ** (2 * n * ctx.m)
+        assert dual.dual() == code
+        x_set = oracles.code_vector_set(code)
+        dual_set = oracles.brute_dual(ctx, n, layout, [v.coords for v in code.basis_vectors()])
+        assert oracles.code_vector_set(dual) == dual_set
+        # hull = X intersected with X^perp, three ways.
+        assert oracles.code_vector_set(hull) == x_set & dual_set
+        assert np.array_equal(hull.basis, _linalg.intersect_rowspaces(code.basis, dual.basis, p))
+        # The stacked path, with its padding, agrees code by code.
+        assert dual_ranks[b] == dual.rank and np.array_equal(duals[b, : dual.rank], dual.basis)
+        assert hull_ranks[b] == hull.rank and np.array_equal(hulls[b, : hull.rank], hull.basis)
+        assert hull_dual_ranks[b] == hull.dual().rank
+        assert np.array_equal(hull_duals[b, : hull_dual_ranks[b]], hull.dual().basis)
+        assert not duals[b, dual.rank :].any() and not hulls[b, hull.rank :].any()
 
 
 def test_intersect_and_sum_trivia():

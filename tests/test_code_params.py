@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -313,6 +314,41 @@ def test_exhaustive_blocks_of_a_wide_code_stay_small(monkeypatch):
     assert max(sizes) == (3, 26) and sum(rows for rows, _ in sizes) == 2 * 39
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+def test_basis_walk_in_small_chunks_gives_the_same_witness(monkeypatch, p, m):
+    # p^low <= 5 walked rows per chunk, so the high rows of the basis run
+    # through many chunks, the first ones wholly inside X.
+    monkeypatch.setattr(code_params, "_CHUNK", 5)
+    ctx = gf_make(p, m)
+    rng = random.Random(23 + p * m)
+    for _ in range(10):
+        code = oracles.random_code(rng, ctx, rng.randint(1, 3), rng.choice([SYMPLECTIC, HERMITIAN]))
+        assert min_distance_with_witness(code, BASIS) == oracles.full_scan_distance(code)
+
+
+def test_basis_walk_of_a_stack_equals_the_walk_of_each_code(monkeypatch):
+    # Groups of one code each (a 1-byte budget) and groups as large as they come.
+    ctx, rng = gf_make(3, 1), random.Random(5)
+    codes = [oracles.random_code(rng, ctx, 2, HERMITIAN) for _ in range(12)]
+    codes.append(AdditiveCode.whole(ctx, 2, HERMITIAN))  # unbounded
+    stacks = [np.zeros((len(codes), 4, 4), dtype=np.int64) for _ in range(2)]
+    for b, code in enumerate(codes):
+        stacks[0][b, : code.rank] = code.basis
+        stacks[1][b, : code.hull().dual().rank] = code.hull().dual().basis
+    ranks = np.array([c.rank for c in codes]), np.array([c.hull().dual().rank for c in codes])
+    walks = []
+    for budget in (1, 1 << 20):
+        monkeypatch.setattr(code_params, "_WALK_BYTES", budget)
+        walks.append(code_params._basis_walk(stacks[0], ranks[0], stacks[1], ranks[1], 3, 1, 2,
+                                             HERMITIAN, witness=True))
+    for d, rows in walks:
+        for b, code in enumerate(codes):
+            want_d, want_witness = min_distance_with_witness(code, EXHAUSTIVE)
+            assert d[b] == want_d
+            if want_witness is not None:
+                assert CodeVector.from_digits(ctx, HERMITIAN, rows[b]) == want_witness
+
+
 @st.composite
 def _distance_codes(draw):
     p, m, top = draw(st.sampled_from([(2, 1, 4), (3, 1, 3), (2, 2, 3)]))
@@ -332,7 +368,8 @@ def _distance_codes(draw):
 def test_weight_ordered_sweep_equals_the_full_scan_and_the_basis_walk(code):
     d, witness = min_distance_with_witness(code, method=EXHAUSTIVE)
     assert (d, witness) == oracles.full_scan_distance(code)
-    assert d == min_distance(code, method=BASIS)
+    # Both methods pick the least encoding key at the least weight.
+    assert min_distance_with_witness(code, method=BASIS) == (d, witness)
     if d == UNBOUNDED:
         assert witness is None and code.hull().dual() == code
     else:

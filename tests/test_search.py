@@ -1,8 +1,13 @@
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
+from oqecc import search
 from oqecc.additive_code import AdditiveCode, SYMPLECTIC
 from oqecc.code_params import BASIS, UNBOUNDED, subsystem_params
 from oqecc.galois import gf_make
@@ -70,3 +75,113 @@ def test_invalid_arguments():
         search_records(2, 1, 2, count=0, seed=1)
     with pytest.raises(ValueError):
         search_records(2, 1, 2, count=1, seed=1, jobs=0)
+
+
+# -- block evaluation -------------------------------------------------------------
+
+
+def _json_lines(records):
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+
+
+def _oracle_records(p, m, n, seed, draws):
+    """Per-candidate records in draw order, first occurrence of each span kept."""
+    ctx, seen, out = gf_make(p, m), set(), []
+    for index, rows in enumerate(draws):
+        record = oracles.candidate_record(index, seed, ctx, n, rows)
+        key = record and str(record["generators"])
+        if record is not None and key not in seen:
+            seen.add(key)
+            out.append(record)
+    return out
+
+
+@st.composite
+def _draw_lists(draw):
+    """Draw sequences mixing random spans, zero spans, repeats of earlier
+    spans (as fresh combinations of their rows) and unbounded codes: the
+    a-halves {(a|0)}, where dual(hull) = X."""
+    p, m, top = draw(st.sampled_from([(2, 1, 3), (2, 2, 3), (3, 1, 3), (5, 1, 2), (2, 3, 2)]))
+    n = draw(st.integers(1, top))
+    cols = 2 * n * m
+    digit_rows = lambda k: st.lists(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
+                                    min_size=k, max_size=k)
+    draws = []
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "repeat", "unbounded"]),
+                              min_size=1, max_size=14)):
+        if kind == "zero":
+            draws.append([[0] * cols] * draw(st.integers(1, cols - 1)))
+        elif kind == "repeat" and draws:
+            rows = np.array(draw(st.sampled_from(draws)), dtype=np.int64)
+            mix = np.eye(len(rows), dtype=np.int64) + np.triu(np.array(draw(digit_rows(len(rows))))[:, :len(rows)], 1)
+            draws.append((mix @ rows % p).tolist())  # an invertible recombination: the same span
+        elif kind == "unbounded":
+            draws.append(np.eye(cols, dtype=np.int64)[: n * m].tolist())
+        else:
+            draws.append(draw(digit_rows(draw(st.integers(1, cols - 1)))))
+    return p, m, n, draws
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(case=_draw_lists())
+@example(case=(2, 1, 2, [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 0, 0]], [[1, 1, 0, 0]],
+                         [[0, 1, 0, 0], [1, 1, 0, 0]], [[1, 0, 1, 0]], [[1, 0, 1, 0]]]))
+def test_blocks_equal_the_per_candidate_records(case):
+    p, m, n, draws = case
+    with pytest.MonkeyPatch.context() as mp:
+        stream = iter(draws)
+        mp.setattr(search, "_draw_candidate", lambda rng, p_, cols: next(stream))
+        mp.setattr(search, "_block_size", lambda cols: 3)  # repeats and zero spans cross blocks
+        records = search_records(p, m, n, count=len(draws), seed=4)
+    assert _json_lines(records) == _json_lines(_oracle_records(p, m, n, 4, draws))
+
+
+def test_seeded_search_equals_the_per_candidate_records():
+    p, m, n, count, seed = 3, 1, 2, 150, 21
+    rng = random.Random(seed)
+    draws = [search._draw_candidate(rng, p, 2 * n * m) for _ in range(count)]
+    assert _json_lines(search_records(p, m, n, count, seed)) == _json_lines(
+        _oracle_records(p, m, n, seed, draws))
+
+
+def test_draws_are_streamed_one_block_at_a_time(monkeypatch):
+    drawn, at_evaluation = [], []
+    real_draw, real_evaluate = search._draw_candidate, search._evaluate_candidate
+    monkeypatch.setattr(search, "_draw_candidate", lambda *a: drawn.append(1) or real_draw(*a))
+    monkeypatch.setattr(search, "_evaluate_candidate",
+                        lambda block: at_evaluation.append(len(drawn)) or real_evaluate(block))
+    size = search._block_size(8)
+    search_records(2, 1, 4, count=3 * size + 5, seed=3)
+    assert len(drawn) == 3 * size + 5
+    assert at_evaluation[0] <= size
+    assert at_evaluation == sorted(at_evaluation) and len(at_evaluation) == 4
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,count,workers", [(4, 10, 4), (8, 3, 3), (None, 10, None), (2, 1, None)])
+def test_jobs_start_no_more_workers_than_cpus_or_blocks(monkeypatch, cpus, count, workers):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(search, "_block_size", lambda cols: 1)  # one block per draw
+    _InlinePool.made = []
+    records = search_records(2, 1, 2, count=count, seed=8, jobs=100_000)
+    # None: one worker would do, so the blocks run in this process.
+    assert _InlinePool.made == ([] if workers is None else [workers])
+    assert _json_lines(records) == _json_lines(search_records(2, 1, 2, count=count, seed=8))
