@@ -181,7 +181,7 @@ def _basis_walk(codes: np.ndarray, ranks: np.ndarray, hull_duals: np.ndarray,
                            & (dual_leads < cols)], axis=1)
     order = np.argsort(~keep, axis=1, kind="stable")
     bases = np.take_along_axis(np.concatenate([codes, hull_duals], axis=1), order[:, :, None], axis=1)
-    for rank in np.unique(dual_ranks[bounded]):
+    for rank in sorted(set(dual_ranks[bounded].tolist())):
         group = np.flatnonzero(bounded & (dual_ranks == rank))
         # Per walked row: its int8 digits, plus its weight, masks and temporaries.
         per = max(1, _WALK_BYTES // (min(p**rank, _CHUNK) * (cols + 16)))
