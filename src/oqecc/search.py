@@ -25,7 +25,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -34,8 +34,10 @@ from .additive_code import SYMPLECTIC, digit_columns, stacked_duality
 from .code_params import BASIS, UNBOUNDED, _basis_walk, _distance_json, params_from_ranks
 from .galois import MAX_FIELD_SIZE, _exceeds_field_cap, _is_prime, gf_make
 
-# The (2 cols, cols) int64 stacks a candidate occupies in a block, summed
-# over the block, stay near this; the distance walk keeps to its own bound.
+# A block holds as many candidates as fit in BLOCK_BYTES at 128 cols^2 bytes
+# each: the int64 stacks of a candidate (its draw, X, dual(X), the hull, its
+# dual and X + dual(X)) and their elimination temporaries come to about
+# sixteen (cols, cols) matrices.  The distance walk keeps to its own bound.
 BLOCK_BYTES = 1 << 20
 
 
@@ -131,8 +133,7 @@ def search_records(
     blocks = _blocks(p, m, n, count, seed, size)
     workers = min(jobs, os.cpu_count() or 1, -(-count // size))
     if workers == 1:
-        evaluated: Iterable[list[dict]] = map(_evaluate_candidate, blocks)
-        return [record for block in evaluated for record in block]
+        return [record for block in map(_evaluate_candidate, blocks) for record in block]
     records = []
     with ProcessPoolExecutor(max_workers=workers) as executor:
         while window := list(itertools.islice(blocks, 2 * workers)):
