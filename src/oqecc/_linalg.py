@@ -86,7 +86,7 @@ def nullspace(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | np.nda
     # column f is free, with kernel vector e_f - sum_i red[b, i, f] e_lead[b, i].
     held = np.arange(rows) < ranks[:, None]
     b, i = np.nonzero(held)
-    lead = (red[b, i] != 0).argmax(axis=1)
+    lead = (red[b, i] != 0).argmax(axis=1) if b.size else b  # argmax fails on 0 columns
     basis = np.zeros((stack, cols, cols), dtype=np.int64)
     basis[b, :, lead] = -red[b, i] % p
     basis[:, np.arange(cols), np.arange(cols)] = 1

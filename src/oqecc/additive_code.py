@@ -218,6 +218,7 @@ def stacked_duality(ctx: GfContext, n: int, layout: str, codes: np.ndarray) -> t
 
     With G the Gram matrix of the form, dual(X) = ker(X G) and the hull is
     ker(X G X^T) X: the combinations of X's rows that pair to zero with X.
+    AdditiveCode.dual and .hull run one code through it as a stack of one.
     """
     p, gram = ctx.p, _gram(ctx, n, layout)
     paired = codes @ gram % p
@@ -389,21 +390,25 @@ class AdditiveCode:
     def dual(self) -> "AdditiveCode":
         """All vectors pairing to zero with the whole code, under the
         layout's form.  Sizes satisfy |X| * |dual(X)| = p^(2nm)."""
-        cached = self._cache.get("dual")
-        if cached is None:
-            paired = (self.basis @ _gram(self.ctx, self.n, self.layout)) % self.ctx.p
-            kernel = _linalg.nullspace(paired, self.ctx.p)  # the identity for the zero code
-            cached = AdditiveCode(self.ctx, self.n, self.layout, kernel)
-            self._cache["dual"] = cached
-        return cached
+        if "dual" not in self._cache:
+            self._fill_duality()
+        return self._cache["dual"]
 
     def hull(self) -> "AdditiveCode":
         """The intersection with the dual; the form vanishes on it."""
-        cached = self._cache.get("hull")
-        if cached is None:
-            cached = self.intersect(self.dual())
-            self._cache["hull"] = cached
-        return cached
+        if "hull" not in self._cache:
+            self._fill_duality()
+        return self._cache["hull"]
+
+    def _fill_duality(self) -> None:
+        """Cache the dual, the hull and the hull's dual from one stack of one."""
+        duals, hulls, hull_duals = stacked_duality(self.ctx, self.n, self.layout, self.basis[None])
+        dual, hull, hull_dual = (
+            AdditiveCode(self.ctx, self.n, self.layout, rows[0, : ranks[0]])
+            for rows, ranks in (duals, hulls, hull_duals)
+        )
+        hull._cache["dual"] = hull_dual
+        self._cache.update(dual=dual, hull=hull)
 
     def intersect(self, other: "AdditiveCode") -> "AdditiveCode":
         self._check_same_space(other)

@@ -327,6 +327,7 @@ def params_from_ranks(ctx, n: int, ex: int, ey: int, d: int | float,
 
 def subsystem_params(code: AdditiveCode, distance_method: str = EXHAUSTIVE) -> SubsystemParams:
     """Exact parameters of the subsystem code attached to a nonzero code."""
-    subsystem_dimensions(code)  # refuses the zero code before any distance work
+    if code.is_zero():  # refused before any distance work
+        raise ZeroCodeError("subsystem dimensions need a nonzero code")
     return params_from_ranks(code.ctx, code.n, code.rank, code.hull().rank,
                              min_distance(code, distance_method), distance_method)

@@ -228,6 +228,8 @@ def test_dual_of_zero_and_whole():
     whole = AdditiveCode.whole(ctx, 2, SYMPLECTIC)
     assert zero.dual() == whole
     assert whole.dual() == zero
+    assert zero.hull() == zero == whole.hull()
+    assert zero.hull().dual() == whole == whole.hull().dual()
 
 
 def test_dual_example_vs_brute_scan():
@@ -289,7 +291,7 @@ def test_duality_properties_against_the_brute_oracle(codes):
         # hull = X intersected with X^perp, three ways.
         assert oracles.code_vector_set(hull) == x_set & dual_set
         assert np.array_equal(hull.basis, _linalg.intersect_rowspaces(code.basis, dual.basis, p))
-        # The stacked path, with its padding, agrees code by code.
+        # A stack of several padded codes agrees with each code's own stack of one.
         assert dual_ranks[b] == dual.rank and np.array_equal(duals[b, : dual.rank], dual.basis)
         assert hull_ranks[b] == hull.rank and np.array_equal(hulls[b, : hull.rank], hull.basis)
         assert hull_dual_ranks[b] == hull.dual().rank

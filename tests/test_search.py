@@ -1,5 +1,6 @@
 import json
 import random
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -158,7 +159,7 @@ def test_draws_are_streamed_one_block_at_a_time(monkeypatch):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
 
     made: list[int] = []
 
@@ -171,8 +172,10 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, item):
+        future = Future()
+        future.set_result(fn(item))
+        return future
 
 
 @pytest.mark.parametrize("cpus,count,workers", [(4, 10, 4), (8, 3, 3), (None, 10, None), (2, 1, None)])
